@@ -50,7 +50,7 @@ Attempt reconstruct_start(const core::TimestampEncoding& enc,
   rec.add_property(prop);
   core::ReconstructionOptions opt;
   opt.max_solutions = 1;
-  opt.gauss_gate = SIZE_MAX;  // frame placements assign many vars at once
+  opt.gauss_max_unassigned = SIZE_MAX;  // frame placements assign many vars at once
   opt.limits.max_seconds = budget();
   const auto result = rec.reconstruct(entry, opt);
   Attempt a;
@@ -175,7 +175,7 @@ int main(int argc, char** argv) {
   rec.add_property(early);
   core::ReconstructionOptions opt;
   opt.max_solutions = 1;
-  opt.gauss_gate = SIZE_MAX;  // frame placements assign many vars at once
+  opt.gauss_max_unassigned = SIZE_MAX;  // frame placements assign many vars at once
   opt.limits.max_seconds = budget();
   const auto refute = rec.reconstruct(entry, opt);
   const double dt = std::chrono::duration<double>(Clock::now() - t0).count();

@@ -93,7 +93,7 @@ int main(int argc, char** argv) {
   rec.add_property(in_window);
   core::ReconstructionOptions opt;
   opt.max_solutions = 1;
-  opt.gauss_gate = SIZE_MAX;  // frame placements assign many vars at once
+  opt.gauss_max_unassigned = SIZE_MAX;  // frame placements assign many vars at once
   opt.limits.max_seconds = 60;
   auto result = rec.reconstruct(entry, opt);
   if (result.signals.empty()) {

@@ -96,6 +96,9 @@ struct SolverStats {
 
   /// Element-wise accumulation (aggregating per-worker solvers of a batch).
   SolverStats& operator+=(const SolverStats& o);
+  /// Element-wise difference (one solve's effort against a snapshot of
+  /// the cumulative counters taken before it).
+  SolverStats& operator-=(const SolverStats& o);
 };
 
 /// The solver knobs shared by every layer that configures a solver —
@@ -282,9 +285,6 @@ class SolverInterface {
     const LBool v = model(l.var());
     return l.negated() ? ~v : v;
   }
-
-  /// Alias of failed() predating the IPASIR naming.
-  const std::vector<Lit>& final_conflict() const { return failed(); }
 };
 
 /// Which backend a SolverFactory builds.

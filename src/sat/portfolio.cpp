@@ -243,7 +243,7 @@ Status PortfolioSolver::solve(const SolveLimits& limits) {
       win_counters_[0]->add(1);
     }
     if (st == Status::Unsat) {
-      for (Lit l : m.solver->final_conflict()) {
+      for (Lit l : m.solver->failed()) {
         const Var ev = int_to_ext(m, l.var());
         assert(ev >= 0 && "failed assumption maps to an external variable");
         failed_.push_back(Lit(ev, l.negated()));
@@ -335,7 +335,7 @@ Status PortfolioSolver::solve(const SolveLimits& limits) {
     }
     if (st == Status::Unsat) {
       const Member& w = members_[static_cast<std::size_t>(first)];
-      for (Lit l : w.solver->final_conflict()) {
+      for (Lit l : w.solver->failed()) {
         const Var ev = int_to_ext(w, l.var());
         assert(ev >= 0 && "failed assumption maps to an external variable");
         failed_.push_back(Lit(ev, l.negated()));

@@ -52,6 +52,25 @@ SolverStats& SolverStats::operator+=(const SolverStats& o) {
   return *this;
 }
 
+SolverStats& SolverStats::operator-=(const SolverStats& o) {
+  conflicts -= o.conflicts;
+  decisions -= o.decisions;
+  propagations -= o.propagations;
+  xor_propagations -= o.xor_propagations;
+  restarts -= o.restarts;
+  learnt_clauses -= o.learnt_clauses;
+  removed_clauses -= o.removed_clauses;
+  minimized_literals -= o.minimized_literals;
+  gauss_runs -= o.gauss_runs;
+  vivified_literals -= o.vivified_literals;
+  subsumed_clauses -= o.subsumed_clauses;
+  arena_gc_runs -= o.arena_gc_runs;
+  arena_bytes_reclaimed -= o.arena_bytes_reclaimed;
+  inprocess_rounds -= o.inprocess_rounds;
+  solve_seconds -= o.solve_seconds;
+  return *this;
+}
+
 // ---------------------------------------------------------------- heap ----
 
 void Solver::VarOrderHeap::insert(Var v, const std::vector<double>& act) {

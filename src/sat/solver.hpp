@@ -166,7 +166,7 @@ class Solver : public SolverInterface {
 
   /// Solve under assumptions: the given literals are fixed for this call
   /// only (decision levels 1..n). Unsat means "unsatisfiable together with
-  /// the assumptions" — the solver stays usable and final_conflict()
+  /// the assumptions" — the solver stays usable and failed()
   /// holds the subset of assumptions responsible (negated, as a clause).
   /// An unconditional Unsat (okay() turns false) can also surface.
   Status solve_assuming(const std::vector<Lit>& assumptions,
@@ -175,9 +175,6 @@ class Solver : public SolverInterface {
   /// After an assumption-Unsat: clause over the failed assumptions
   /// (each literal is the negation of a responsible assumption).
   const std::vector<Lit>& failed() const override { return final_conflict_; }
-
-  /// Alias of failed() predating the IPASIR naming.
-  const std::vector<Lit>& final_conflict() const { return final_conflict_; }
 
   /// After Status::Sat: the model value of a variable (never Undef).
   LBool model(Var v) const override {

@@ -12,6 +12,7 @@
 #include "obs/trace.hpp"
 #include "sat/allsat.hpp"
 #include "timeprint/incremental.hpp"
+#include "timeprint/sr_encoder.hpp"
 #include "timeprint/verify.hpp"
 #include "util/sync.hpp"
 #include "util/thread_pool.hpp"
@@ -66,6 +67,8 @@ bool BatchResult::complete() const {
 BatchResult BatchReconstructor::reconstruct_all(const std::vector<LogEntry>& entries,
                                                 const BatchOptions& options) const {
   options.validate();
+  // Before the prepass: its bit-sliced sweep indexes by timeprint bits.
+  for (const LogEntry& e : entries) check_width(rec_.encoding(), e.tp);
   const auto start = Clock::now();
 
   BatchResult out;
@@ -101,28 +104,11 @@ BatchResult BatchReconstructor::reconstruct_all(const std::vector<LogEntry>& ent
     const bool decode_all =
         pre.nullity() <= options.recon.presolve_enum_limit;
     for (std::size_t i = 0; i < entries.size(); ++i) {
-      ReconstructionResult r;
-      if (!analyses[i].consistent) {
-        r.final_status = sat::Status::Unsat;
-      } else if (decode_all) {
-        F2Presolve::Decoded dec = pre.decode_by_enumeration(
-            analyses[i], entries[i].k, rec_.properties(),
-            options.recon.max_solutions);
-        r.signals = std::move(dec.signals);
-        r.final_status =
-            dec.truncated ? sat::Status::Sat : sat::Status::Unsat;
-        r.seconds_to_each.assign(r.signals.size(), 0.0);
-        if (options.recon.verify_models) {
-          require_verified(rec_.encoding(), entries[i], r.signals,
-                           rec_.properties());
-        }
-      } else {
-        continue;
-      }
+      if (analyses[i].consistent && !decode_all) continue;
+      out.results[i] = rec_.decode_fresh(entries[i], options.recon, &analyses[i]);
       resolved[i] = 1;
       ++resolved_count;
-      resolved_signals += r.signals.size();
-      out.results[i] = std::move(r);
+      resolved_signals += out.results[i].signals.size();
     }
     if (tracer != nullptr) {
       tracer->event("batch.presolve",
@@ -164,8 +150,7 @@ BatchResult BatchReconstructor::reconstruct_all(const std::vector<LogEntry>& ent
     for (const LogEntry& e : entries) k_max = std::max(k_max, e.k);
     k_max = std::min(k_max, rec_.encoding().m());
     master = std::make_unique<TemplateReconstructor>(
-        rec_.encoding(), rec_.properties(), options.recon,
-        k_max == 0 ? rec_.encoding().m() : k_max);
+        rec_, options.recon, k_max == 0 ? rec_.encoding().m() : k_max);
   }
   auto run_entry = [&](const LogEntry& entry) -> ReconstructionResult {
     if (master == nullptr) return rec_.reconstruct(entry, options.recon);
@@ -284,11 +269,8 @@ ReconstructionResult BatchReconstructor::reconstruct_split(
     result.final_status = sat::Status::Unsat;
     result.seconds_total = elapsed();
     if (tracer != nullptr) tracer->event("sr.trivial_unsat");
-    if (span.active()) {
-      span.add("signals", 0);
-      span.add("status", sat::to_string(result.final_status));
-      span.finish();
-    }
+    span.add("signals", 0);
+    span.add("status", sat::to_string(result.final_status));
     return result;
   }
 

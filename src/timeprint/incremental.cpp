@@ -1,54 +1,25 @@
 #include "timeprint/incremental.hpp"
 
-#include <cassert>
-#include <chrono>
 #include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sat/allsat.hpp"
 #include "sat/cardinality.hpp"
-#include "sat/xor_to_cnf.hpp"
-#include "timeprint/verify.hpp"
+#include "timeprint/sr_encoder.hpp"
 
 namespace tp::core {
 
 using sat::Lit;
 using sat::mk_lit;
-using sat::SolverInterface;
 using sat::Status;
 using sat::Var;
-
-namespace {
-
-// stats() is cumulative over the solver's lifetime; an entry's effort is
-// the difference against the snapshot taken before its solve.
-sat::SolverStats stats_delta(const sat::SolverStats& after,
-                             const sat::SolverStats& before) {
-  sat::SolverStats d;
-  d.conflicts = after.conflicts - before.conflicts;
-  d.decisions = after.decisions - before.decisions;
-  d.propagations = after.propagations - before.propagations;
-  d.xor_propagations = after.xor_propagations - before.xor_propagations;
-  d.restarts = after.restarts - before.restarts;
-  d.learnt_clauses = after.learnt_clauses - before.learnt_clauses;
-  d.removed_clauses = after.removed_clauses - before.removed_clauses;
-  d.minimized_literals = after.minimized_literals - before.minimized_literals;
-  d.gauss_runs = after.gauss_runs - before.gauss_runs;
-  d.inprocess_rounds = after.inprocess_rounds - before.inprocess_rounds;
-  return d;
-}
-
-}  // namespace
 
 TemplateReconstructor::TemplateReconstructor(
     const TimestampEncoding& encoding, std::vector<const Property*> properties,
     const ReconstructionOptions& options, std::size_t k_max)
-    : enc_(&encoding),
-      properties_(std::move(properties)),
-      options_(options),
-      k_max_(k_max == 0 ? encoding.m() : k_max),
-      presolve_(std::make_shared<const F2Presolve>(encoding)) {
+    : rec_(encoding), options_(options), k_max_(k_max == 0 ? encoding.m() : k_max) {
+  rec_.properties_ = std::move(properties);
   options_.validate();
   build();
 }
@@ -56,16 +27,17 @@ TemplateReconstructor::TemplateReconstructor(
 TemplateReconstructor::TemplateReconstructor(const Reconstructor& reconstructor,
                                              const ReconstructionOptions& options,
                                              std::size_t k_max)
-    : TemplateReconstructor(reconstructor.encoding(), reconstructor.properties(),
-                            options, k_max) {}
+    : rec_(reconstructor),
+      options_(options),
+      k_max_(k_max == 0 ? reconstructor.encoding().m() : k_max) {
+  options_.validate();
+  build();
+}
 
 TemplateReconstructor::TemplateReconstructor(const TemplateReconstructor& other)
-    : enc_(other.enc_),
-      properties_(other.properties_),
+    : rec_(other.rec_),
       options_(other.options_),
       k_max_(other.k_max_),
-      presolve_(other.presolve_),
-      presolved_base_(other.presolved_base_),
       solver_(other.solver_->clone()),
       cycle_vars_(other.cycle_vars_),
       selectors_(other.selectors_),
@@ -80,8 +52,7 @@ void TemplateReconstructor::build() {
   static obs::Counter& builds =
       obs::MetricsRegistry::global().counter("incremental.template_builds");
 
-  const std::size_t m = enc_->m();
-  const std::size_t b = enc_->width();
+  const std::size_t m = rec_.encoding().m();
 
   // A template master's formula is solved thousands of times, so the
   // front-end trade-off shifts: a BVE step that *grows* the clause count
@@ -90,73 +61,18 @@ void TemplateReconstructor::build() {
   ReconstructionOptions master_options = options_;
   master_options.preprocess_bve_growth = 0;
   solver_ = master_options.make_solver();
-  cycle_vars_.clear();
-  selectors_.clear();
-  card_outs_.clear();
-  bool ok = true;
 
-  presolved_base_ = options_.presolve && options_.proof == nullptr;
-  if (presolved_base_) {
-    // Substituted base over the echelon factorization: one selector XOR
-    // row per RREF row (rank(A) of them instead of b), each defining its
-    // pivot variable over the free-column variables —
-    // pivot ⊕ (free support) ⊕ s_r = 0, so assuming s_r = (T·TP)_r sets
-    // the row's constant per entry. A pivot row with empty free support
-    // degrades to pivot = s_r, so the selector itself serves as the cycle
-    // variable (one variable and one XOR row saved). The b - rank(A)
-    // dependent rows never reach the solver: their constraint is exactly
-    // the per-entry consistency check on the transformed timeprint.
-    const f2::Echelonizer& ech = presolve_->echelon();
-    cycle_vars_.assign(m, 0);
-    for (std::size_t f : ech.free_cols()) cycle_vars_[f] = solver_->new_var();
-    selectors_.reserve(ech.rank());
-    for (std::size_t r = 0; r < ech.rank(); ++r) {
-      const f2::BitVec& row = ech.reduced_rows()[r];
-      const std::size_t pivot = ech.pivot_cols()[r];
-      std::vector<Var> xr;
-      for (std::size_t f : ech.free_cols()) {
-        if (row.get(f)) xr.push_back(cycle_vars_[f]);
-      }
-      const Var s = solver_->new_var();
-      selectors_.push_back(s);
-      if (xr.empty()) {
-        cycle_vars_[pivot] = s;
-        continue;
-      }
-      const Var y = solver_->new_var();
-      cycle_vars_[pivot] = y;
-      xr.push_back(y);
-      xr.push_back(s);
-      if (options_.native_xor) {
-        ok = solver_->add_xor(std::move(xr), false) && ok;
-      } else {
-        ok = sat::add_xor_as_cnf(*solver_, xr, false) && ok;
-      }
-    }
-  } else {
-    cycle_vars_.reserve(m);
-    for (std::size_t i = 0; i < m; ++i) cycle_vars_.push_back(solver_->new_var());
-
-    // Linear system with per-row selector RHS: parity(row_j) = s_j, encoded
-    // as (row_j ∪ {s_j}) with constant RHS 0. An all-zero row degrades to
-    // the unit clause ~s_j — an entry whose timeprint sets that bit then
-    // fails at the assumption level, the correct (conditional) Unsat.
-    selectors_.reserve(b);
-    for (std::size_t j = 0; j < b; ++j) {
-      std::vector<Var> row;
-      for (std::size_t i = 0; i < m; ++i) {
-        if (enc_->timestamp(i).get(j)) row.push_back(cycle_vars_[i]);
-      }
-      const Var s = solver_->new_var();
-      selectors_.push_back(s);
-      row.push_back(s);
-      if (options_.native_xor) {
-        ok = solver_->add_xor(std::move(row), false) && ok;
-      } else {
-        ok = sat::add_xor_as_cnf(*solver_, row, false) && ok;
-      }
-    }
-  }
+  // Selector-RHS rows, so an entry's timeprint is just assumptions on the
+  // selectors: A's b raw rows, or with the presolve its rank(A) RREF rows.
+  // Their b - rank(A) dependent rows never reach the solver: that
+  // constraint is exactly the per-entry consistency check on T·TP.
+  const bool presolved = options_.presolve && options_.proof == nullptr;
+  SrRows rows;
+  SrEncoder(rec_.encoding(), presolved ? &rec_.presolve() : nullptr, options_.native_xor)
+      .encode(*solver_, rows, nullptr);
+  cycle_vars_ = std::move(rows.cycle_vars);
+  selectors_ = std::move(rows.selectors);
+  bool ok = rows.ok;
 
   // One shared totalizer to k_max; per-entry |x| = k becomes the two
   // assumptions o[k-1] ("at least k") and ~o[k] ("not at least k+1").
@@ -167,7 +83,7 @@ void TemplateReconstructor::build() {
   const std::size_t cap = k_max_ + 1 < m ? k_max_ + 1 : m;
   card_outs_ = sat::totalizer_outputs(*solver_, lits, static_cast<int>(cap));
 
-  for (const Property* p : properties_) {
+  for (const Property* p : rec_.properties()) {
     ok = p->encode(*solver_, cycle_vars_) && ok;
   }
 
@@ -204,21 +120,6 @@ ReconstructionResult TemplateReconstructor::reconstruct(const LogEntry& entry) {
   static obs::Counter& learnt_retained =
       obs::MetricsRegistry::global().counter("incremental.learnt_retained");
 
-  assert(entry.tp.size() == enc_->width());
-  const std::size_t m = enc_->m();
-
-  using Clock = std::chrono::steady_clock;
-  const auto start = Clock::now();
-  obs::Tracer::Span span;
-  if (options_.tracer != nullptr) {
-    span = options_.tracer->span(
-        "sr.reconstruct",
-        {{"m", static_cast<std::uint64_t>(m)},
-         {"k", static_cast<std::uint64_t>(entry.k)},
-         {"properties", static_cast<std::uint64_t>(properties_.size())},
-         {"engine", "template"}});
-  }
-
   ++stats_.entries;
   if (stats_.entries > 1) {
     const auto retained = static_cast<std::int64_t>(solver_->num_learnts());
@@ -226,172 +127,75 @@ ReconstructionResult TemplateReconstructor::reconstruct(const LogEntry& entry) {
     learnt_retained.add(retained);
   }
 
-  // A change count above k_max needs totalizer outputs the template never
-  // built: rebuild once at the safe maximum and keep serving from there.
-  // k > m needs no solver at all — the preimage is empty.
-  if (entry.k > m) {
-    ReconstructionResult result;
-    result.final_status = Status::Unsat;
+  const auto sat_stage = [&](const F2Presolve::Analysis* analysis,
+                             ReconstructionResult& result) {
+    const std::size_t m = rec_.encoding().m();
+    // A change count above k_max needs totalizer outputs the template never
+    // built: rebuild once at the safe maximum and keep serving from there.
+    if (entry.k <= m && entry.k > k_max_) {
+      k_max_ = m;
+      build();
+      // Rebuild edge of the inprocessing schedule: tighten the fresh base
+      // once before the stream resumes.
+      solver_->inprocess();
+      ++stats_.inprocess_rounds;
+    }
     result.num_vars = solver_->num_vars();
     result.num_clauses = solver_->num_clauses();
     result.num_xors = solver_->num_xors();
-    result.seconds_total =
-        std::chrono::duration<double>(Clock::now() - start).count();
-    if (options_.tracer != nullptr) options_.tracer->event("sr.trivial_unsat");
-    if (span.active()) {
-      span.add("signals", std::uint64_t{0});
-      span.add("status", sat::to_string(result.final_status));
-      span.finish();
-    }
-    return result;
-  }
-  // Presolved fast paths (mirroring Reconstructor::reconstruct): an
-  // inconsistent linear system has a complete empty preimage, and a
-  // small-nullity encoding is decoded by walking the affine solution
-  // space directly — neither touches the solver.
-  F2Presolve::Analysis analysis;
-  if (presolved_base_) {
-    analysis = presolve_->analyze(entry.tp);
-    if (!analysis.consistent) {
-      ReconstructionResult result;
-      result.final_status = Status::Unsat;
-      result.num_vars = solver_->num_vars();
-      result.num_clauses = solver_->num_clauses();
-      result.num_xors = solver_->num_xors();
-      result.seconds_total =
-          std::chrono::duration<double>(Clock::now() - start).count();
-      if (options_.tracer != nullptr) options_.tracer->event("sr.presolve_unsat");
-      if (span.active()) {
-        span.add("signals", std::uint64_t{0});
-        span.add("status", sat::to_string(result.final_status));
-        span.finish();
-      }
-      return result;
-    }
-    if (presolve_->nullity() <= options_.presolve_enum_limit) {
-      F2Presolve::Decoded dec = presolve_->decode_by_enumeration(
-          analysis, entry.k, properties_, options_.max_solutions);
-      ReconstructionResult result;
-      result.signals = std::move(dec.signals);
-      result.final_status = dec.truncated ? Status::Sat : Status::Unsat;
-      result.num_vars = solver_->num_vars();
-      result.num_clauses = solver_->num_clauses();
-      result.num_xors = solver_->num_xors();
-      result.seconds_total =
-          std::chrono::duration<double>(Clock::now() - start).count();
-      result.seconds_to_each.assign(result.signals.size(),
-                                    result.seconds_total);
-      if (options_.verify_models) {
-        require_verified(*enc_, entry, result.signals, properties_);
-      }
-      if (options_.tracer != nullptr) {
-        options_.tracer->event("sr.presolve_decode");
-      }
-      if (span.active()) {
-        span.add("signals", static_cast<std::uint64_t>(result.signals.size()));
-        span.add("status", sat::to_string(result.final_status));
-        span.finish();
-      }
-      return result;
-    }
-  }
 
-  if (entry.k > k_max_) {
-    k_max_ = m;
-    build();
-    // Rebuild edge of the inprocessing schedule: tighten the fresh base
-    // once before the stream resumes.
-    solver_->inprocess();
-    ++stats_.inprocess_rounds;
-  }
-
-  ReconstructionResult result;
-  result.num_vars = solver_->num_vars();
-  result.num_clauses = solver_->num_clauses();
-  result.num_xors = solver_->num_xors();
-
-  if (!encode_ok_) {
-    // The base itself (properties vs. structure) is contradictory: every
-    // entry has an empty, complete preimage.
-    result.final_status = Status::Unsat;
-    result.seconds_total =
-        std::chrono::duration<double>(Clock::now() - start).count();
-    if (options_.tracer != nullptr) options_.tracer->event("sr.trivial_unsat");
-    if (span.active()) {
-      span.add("signals", std::uint64_t{0});
-      span.add("status", sat::to_string(result.final_status));
-      span.finish();
+    Reconstructor::SatModels out;
+    if (entry.k > m || !encode_ok_) {
+      // k > m, or a base whose properties contradict its structure: the
+      // preimage is empty and complete, no solve needed.
+      out.run.final_status = Status::Unsat;
+      if (options_.tracer != nullptr) options_.tracer->event("sr.trivial_unsat");
+      return out;
     }
-    return result;
-  }
 
-  sat::AllSatOptions as;
-  as.max_models = options_.max_solutions;
-  as.limits = options_.limits;
-  as.tracer = options_.tracer;
-  as.fixed_weight = entry.k;
-  as.assumptions.reserve(selectors_.size() + 2);
-  if (presolved_base_) {
-    // Selector r carries RREF row r's constant: bit r of the transformed
-    // timeprint T·TP.
-    for (std::size_t r = 0; r < selectors_.size(); ++r) {
-      as.assumptions.push_back(
-          Lit(selectors_[r], /*negated=*/!analysis.transformed.get(r)));
-    }
-  } else {
+    sat::AllSatOptions as;
+    as.max_models = options_.max_solutions;
+    as.limits = options_.limits;
+    as.tracer = options_.tracer;
+    as.fixed_weight = entry.k;
+    // Selector j carries row j's right-hand side: bit j of TP on raw rows,
+    // of the transformed timeprint T·TP on RREF rows.
+    const f2::BitVec& rhs = analysis != nullptr ? analysis->transformed : entry.tp;
+    as.assumptions.reserve(selectors_.size() + 2);
     for (std::size_t j = 0; j < selectors_.size(); ++j) {
-      as.assumptions.push_back(Lit(selectors_[j], /*negated=*/!entry.tp.get(j)));
+      as.assumptions.push_back(Lit(selectors_[j], /*negated=*/!rhs.get(j)));
     }
-  }
-  if (entry.k >= 1) as.assumptions.push_back(card_outs_[entry.k - 1]);
-  if (entry.k < card_outs_.size()) as.assumptions.push_back(~card_outs_[entry.k]);
+    if (entry.k >= 1) as.assumptions.push_back(card_outs_[entry.k - 1]);
+    if (entry.k < card_outs_.size()) as.assumptions.push_back(~card_outs_[entry.k]);
 
-  // Fresh guard per entry; retired below so this entry's blocking clauses
-  // cannot constrain the next one.
-  const Lit guard = mk_lit(solver_->new_var());
-  as.guard = guard;
+    // Fresh guard per entry; retired below so this entry's blocking clauses
+    // cannot constrain the next one.
+    const Lit guard = mk_lit(solver_->new_var());
+    as.guard = guard;
 
-  const sat::SolverStats before = solver_->stats();
-  const sat::AllSatResult models =
-      sat::enumerate_models(*solver_, cycle_vars_, as);
-  // Retire the entry: fixing ¬guard root-satisfies this run's blocking
-  // clauses (and any learnt clause carrying ¬guard); simplify() then sweeps
-  // that ballast out of the databases so the solver's propagation cost
-  // stays flat over arbitrarily long entry streams. Every
-  // inprocess_interval entries the sweep is upgraded to a budgeted
-  // inprocess() round (backward subsumption + failed-literal probing on
-  // top of the vivifying simplify()).
-  solver_->add_clause({~guard});
-  const std::uint32_t interval = options_.inprocess_interval;
-  if (interval != 0 && stats_.entries % interval == 0) {
-    solver_->inprocess();
-    ++stats_.inprocess_rounds;
-  } else {
-    solver_->simplify();
-  }
-  result.stats = stats_delta(solver_->stats(), before);
-
-  result.final_status = models.final_status;
-  result.seconds_to_each = models.seconds_to_model;
-  result.seconds_total =
-      std::chrono::duration<double>(Clock::now() - start).count();
-  for (const auto& model : models.models) {
-    Signal s(m);
-    for (std::size_t i = 0; i < model.size(); ++i) {
-      if (model[i]) s.set_change(i);
+    const sat::SolverStats before = solver_->stats();
+    out.run = sat::enumerate_models(*solver_, cycle_vars_, as);
+    // Retire the entry: fixing ¬guard root-satisfies this run's blocking
+    // clauses (and any learnt clause carrying ¬guard); simplify() then
+    // sweeps that ballast out of the databases so the solver's propagation
+    // cost stays flat over arbitrarily long entry streams. Every
+    // inprocess_interval entries the sweep is upgraded to a budgeted
+    // inprocess() round (backward subsumption + failed-literal probing on
+    // top of the vivifying simplify()).
+    solver_->add_clause({~guard});
+    const std::uint32_t interval = options_.inprocess_interval;
+    if (interval != 0 && stats_.entries % interval == 0) {
+      solver_->inprocess();
+      ++stats_.inprocess_rounds;
+    } else {
+      solver_->simplify();
     }
-    result.signals.push_back(std::move(s));
-  }
-  if (options_.verify_models) {
-    require_verified(*enc_, entry, result.signals, properties_);
-  }
-
-  if (span.active()) {
-    span.add("signals", static_cast<std::uint64_t>(result.signals.size()));
-    span.add("status", sat::to_string(result.final_status));
-    span.finish();
-  }
-  return result;
+    // stats() is cumulative over the solver's lifetime.
+    result.stats = solver_->stats();
+    result.stats -= before;
+    return out;
+  };
+  return rec_.decode_entry(entry, options_, sat_stage, nullptr, "template");
 }
 
 }  // namespace tp::core

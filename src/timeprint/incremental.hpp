@@ -64,8 +64,8 @@ class TemplateReconstructor {
                         const ReconstructionOptions& options,
                         std::size_t k_max = 0);
 
-  /// Convenience: template over a Reconstructor's encoding and registered
-  /// properties.
+  /// Template over a Reconstructor's encoding and registered properties,
+  /// sharing its F2 factorization.
   TemplateReconstructor(const Reconstructor& reconstructor,
                         const ReconstructionOptions& options,
                         std::size_t k_max = 0);
@@ -73,7 +73,8 @@ class TemplateReconstructor {
   /// Decode one entry: assume the selector/totalizer literals for
   /// (TP, k), enumerate under a fresh guard, retire the guard. Returns
   /// the same fields as Reconstructor::reconstruct; `stats` is this
-  /// entry's solver-effort delta.
+  /// entry's solver-effort delta. Throws std::invalid_argument on a
+  /// timeprint of the wrong width.
   ReconstructionResult reconstruct(const LogEntry& entry);
 
   /// Independent copy with the same encoded base *and* the accumulated
@@ -103,7 +104,7 @@ class TemplateReconstructor {
   std::size_t retained_bytes() const { return solver_->retained_bytes(); }
 
   /// The encoding this template decodes against.
-  const TimestampEncoding& encoding() const { return *enc_; }
+  const TimestampEncoding& encoding() const { return rec_.encoding(); }
 
  private:
   TemplateReconstructor(const TemplateReconstructor& other);
@@ -111,20 +112,15 @@ class TemplateReconstructor {
   /// (Re)encode the base into a fresh solver.
   void build();
 
-  const TimestampEncoding* enc_;
-  std::vector<const Property*> properties_;
+  /// Encoding, properties and the shared F2 factorization (clones share
+  /// it too), plus the decode pipeline this engine's SAT stage plugs
+  /// into. With options_.presolve (and no proof sink) the base is encoded
+  /// over the RREF rows — rank(A) selector XOR rows instead of b, pivot
+  /// variables defined over the free columns — and per-entry assumptions
+  /// are the *transformed* timeprint bits.
+  Reconstructor rec_;
   ReconstructionOptions options_;
   std::size_t k_max_;
-  /// Shared echelon factorization of the encoding's matrix. With
-  /// options_.presolve (and no proof sink) the base is encoded in
-  /// substituted form — rank(A) selector XOR rows instead of b, pivot
-  /// variables defined over the free columns — per-entry assumptions are
-  /// the *transformed* timeprint bits, inconsistent entries return
-  /// without a solve, and a small-nullity encoding bypasses the solver
-  /// for every entry (decode_by_enumeration). Clones share the (const)
-  /// factorization.
-  std::shared_ptr<const F2Presolve> presolve_;
-  bool presolved_base_ = false;
   std::unique_ptr<sat::SolverInterface> solver_;
   std::vector<sat::Var> cycle_vars_;
   std::vector<sat::Var> selectors_;   ///< one per XOR row (b, or rank(A))

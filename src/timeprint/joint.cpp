@@ -1,9 +1,9 @@
 #include "timeprint/joint.hpp"
 
-#include <cassert>
 #include <memory>
+#include <stdexcept>
 
-#include "sat/xor_to_cnf.hpp"
+#include "timeprint/sr_encoder.hpp"
 
 namespace tp::core {
 
@@ -15,9 +15,10 @@ using sat::Var;
 ReconstructionResult JointReconstructor::reconstruct(
     const std::vector<LogEntry>& entries, const ReconstructionOptions& options) const {
   options.validate();
-  assert(!entries.empty());
+  if (entries.empty()) {
+    throw std::invalid_argument("JointReconstructor: no log entries to reconstruct");
+  }
   const std::size_t m = enc_->m();
-  const std::size_t b = enc_->width();
   const std::size_t n = entries.size();
 
   const std::unique_ptr<SolverInterface> solver_ptr = options.make_solver();
@@ -26,25 +27,17 @@ ReconstructionResult JointReconstructor::reconstruct(
   span_vars.reserve(n * m);
   for (std::size_t i = 0; i < n * m; ++i) span_vars.push_back(solver.new_var());
 
+  const SrEncoder encoder(*enc_, nullptr, options.native_xor);
   for (std::size_t w = 0; w < n; ++w) {
-    assert(entries[w].tp.size() == b);
     // XOR system of window w over its own m variables.
-    for (std::size_t j = 0; j < b; ++j) {
-      std::vector<Var> row;
-      for (std::size_t i = 0; i < m; ++i) {
-        if (enc_->timestamp(i).get(j)) row.push_back(span_vars[w * m + i]);
-      }
-      const bool rhs = entries[w].tp.get(j);
-      if (options.native_xor) {
-        solver.add_xor(std::move(row), rhs);
-      } else {
-        sat::add_xor_as_cnf(solver, row, rhs);
-      }
-    }
+    SrRows rows;
+    rows.cycle_vars.assign(span_vars.begin() + static_cast<std::ptrdiff_t>(w * m),
+                           span_vars.begin() + static_cast<std::ptrdiff_t>((w + 1) * m));
+    encoder.encode(solver, rows, &entries[w].tp);
     // Cardinality of window w.
     std::vector<Lit> lits;
     lits.reserve(m);
-    for (std::size_t i = 0; i < m; ++i) lits.push_back(mk_lit(span_vars[w * m + i]));
+    for (Var v : rows.cycle_vars) lits.push_back(mk_lit(v));
     sat::encode_exactly(solver, lits, static_cast<int>(entries[w].k),
                         options.card_encoding);
   }

@@ -29,7 +29,8 @@ class JointReconstructor {
 
   /// Enumerate concatenated signals (length entries.size() · m) that
   /// explain every log entry simultaneously, subject to the registered
-  /// span properties.
+  /// span properties. Throws std::invalid_argument on an empty span or a
+  /// timeprint of the wrong width.
   ReconstructionResult reconstruct(const std::vector<LogEntry>& entries,
                                    const ReconstructionOptions& options = {}) const;
 

@@ -12,9 +12,9 @@
 //    solution space particular ⊕ span(nullspace) is small enough to
 //    enumerate outright, filtering on |x| = k and the registered
 //    properties: the solver is skipped entirely;
-//  * substituted encoding — otherwise the reduced rows let the engines
-//    emit rank(A) XOR definitions (pivot variable = XOR of free-column
-//    variables ⊕ constant) instead of the b raw rows, drop
+//  * substituted encoding — otherwise the reduced rows let SrEncoder
+//    (sr_encoder.hpp) emit rank(A) XOR definitions (pivot variable = XOR
+//    of free-column variables ⊕ constant) instead of the b raw rows, drop
 //    constant-valued pivots from the solver, project enumeration onto the
 //    free columns and substitute the pivot values back via expand().
 //

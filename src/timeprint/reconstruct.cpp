@@ -1,12 +1,11 @@
 #include "timeprint/reconstruct.hpp"
 
-#include <cassert>
 #include <chrono>
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "sat/xor_to_cnf.hpp"
+#include "timeprint/sr_encoder.hpp"
 #include "timeprint/verify.hpp"
 
 namespace tp::core {
@@ -23,9 +22,10 @@ void ReconstructionOptions::validate() const {
         "ReconstructionOptions: use_gauss requires native_xor (the Gaussian "
         "engine operates on native XOR rows, not their CNF translation)");
   }
-  if ((gauss_gate != 0 || gauss_max_unassigned != 0) && !use_gauss) {
+  if (gauss_max_unassigned != 0 && !use_gauss) {
     throw std::invalid_argument(
-        "ReconstructionOptions: gauss_gate is set but use_gauss is false");
+        "ReconstructionOptions: gauss_max_unassigned is set but use_gauss is "
+        "false");
   }
   if (max_solutions == 0) {
     throw std::invalid_argument(
@@ -45,8 +45,6 @@ void ReconstructionOptions::validate() const {
 sat::SolverOptions ReconstructionOptions::solver_options() const {
   sat::SolverOptions so;
   static_cast<sat::SolverConfig&>(so) = *this;  // the shared knob slice
-  // Deprecated alias: a non-zero gauss_gate overrides the inherited field.
-  if (gauss_gate != 0) so.gauss_max_unassigned = gauss_gate;
   return so;
 }
 
@@ -66,116 +64,45 @@ const char* to_string(CheckVerdict v) {
   return "?";
 }
 
+namespace {
+
+// |x| = k over the cycle variables the rows created, plus the known
+// (verified) properties. A pivot the rows folded away has no variable: its
+// change is already in fixed_ones, which shrinks the bound.
+bool encode_count_and_properties(SolverInterface& solver, const SrRows& rows,
+                                 std::size_t k,
+                                 const std::vector<const Property*>& properties,
+                                 const ReconstructionOptions& options) {
+  if (rows.fixed_ones > k) return false;  // forced changes already exceed k
+  std::vector<Lit> lits;
+  lits.reserve(rows.cycle_vars.size());
+  for (Var v : rows.cycle_vars) {
+    if (v != kNoVar) lits.push_back(mk_lit(v));
+  }
+  bool ok = sat::encode_exactly(solver, lits, static_cast<int>(k - rows.fixed_ones),
+                                options.card_encoding) &&
+            rows.ok;
+  for (const Property* p : properties) ok = p->encode(solver, rows.cycle_vars) && ok;
+  return ok;
+}
+
+}  // namespace
+
 bool Reconstructor::encode_base(SolverInterface& solver, std::vector<Var>& cycle_vars,
                                 const LogEntry& entry,
                                 const ReconstructionOptions& options) const {
-  const std::size_t m = enc_->m();
-  const std::size_t b = enc_->width();
-  assert(entry.tp.size() == b);
-
-  cycle_vars.clear();
-  cycle_vars.reserve(m);
-  for (std::size_t i = 0; i < m; ++i) cycle_vars.push_back(solver.new_var());
-
-  bool ok = true;
-
-  // Linear system A·x = TP: one XOR clause per timeprint bit.
-  for (std::size_t j = 0; j < b; ++j) {
-    std::vector<Var> row;
-    for (std::size_t i = 0; i < m; ++i) {
-      if (enc_->timestamp(i).get(j)) row.push_back(cycle_vars[i]);
-    }
-    const bool rhs = entry.tp.get(j);
-    if (options.native_xor) {
-      ok = solver.add_xor(std::move(row), rhs) && ok;
-    } else {
-      ok = sat::add_xor_as_cnf(solver, row, rhs) && ok;
-    }
-  }
-
-  // Cardinality |x| = k.
-  std::vector<Lit> lits;
-  lits.reserve(m);
-  for (Var v : cycle_vars) lits.push_back(mk_lit(v));
-  ok = sat::encode_exactly(solver, lits, static_cast<int>(entry.k),
-                           options.card_encoding) &&
-       ok;
-
-  // Known (verified) properties prune the space.
-  for (const Property* p : properties_) ok = p->encode(solver, cycle_vars) && ok;
-
+  SrRows rows;
+  SrEncoder(*enc_, nullptr, options.native_xor).encode(solver, rows, &entry.tp);
+  const bool ok = encode_count_and_properties(solver, rows, entry.k, properties_, options);
+  cycle_vars = std::move(rows.cycle_vars);
   return ok;
 }
 
-bool Reconstructor::encode_presolved(SolverInterface& solver,
-                                     std::vector<Var>& free_vars,
-                                     const LogEntry& entry,
-                                     const ReconstructionOptions& options,
-                                     const F2Presolve::Analysis& analysis) const {
-  const f2::Echelonizer& ech = presolve_->echelon();
-  const std::size_t m = enc_->m();
-  constexpr Var kNoVar = -1;
-  std::vector<Var> cycle_vars(m, kNoVar);
-
-  free_vars.clear();
-  free_vars.reserve(ech.nullity());
-  for (std::size_t f : ech.free_cols()) {
-    const Var v = solver.new_var();
-    cycle_vars[f] = v;
-    free_vars.push_back(v);
-  }
-
-  bool ok = true;
-  // Properties constrain the full cycle array, so with any registered the
-  // constant pivots must exist as (unit-fixed) variables; without, they
-  // are eliminated outright and only shift the cardinality bound.
-  const bool need_all_vars = !properties_.empty();
-  std::size_t fixed_ones = 0;
-  for (std::size_t r = 0; r < ech.rank(); ++r) {
-    const f2::BitVec& row = ech.reduced_rows()[r];
-    const std::size_t pivot = ech.pivot_cols()[r];
-    const bool c = analysis.transformed.get(r);
-    std::vector<Var> xr;
-    for (std::size_t f : ech.free_cols()) {
-      if (row.get(f)) xr.push_back(cycle_vars[f]);
-    }
-    if (xr.empty() && !need_all_vars) {
-      if (c) ++fixed_ones;  // pivot forced to 1: pre-counted change
-      continue;
-    }
-    const Var y = solver.new_var();
-    cycle_vars[pivot] = y;
-    if (xr.empty()) {
-      ok = solver.add_clause({Lit(y, /*negated=*/!c)}) && ok;
-    } else {
-      xr.push_back(y);
-      if (options.native_xor) {
-        ok = solver.add_xor(std::move(xr), c) && ok;
-      } else {
-        ok = sat::add_xor_as_cnf(solver, xr, c) && ok;
-      }
-    }
-  }
-  if (fixed_ones > entry.k) return false;  // forced changes already exceed k
-
-  // Cardinality over the variables that exist; eliminated constant-1
-  // pivots are already-spent changes, so the bound shrinks by fixed_ones.
-  std::vector<Lit> lits;
-  lits.reserve(m);
-  for (std::size_t i = 0; i < m; ++i) {
-    if (cycle_vars[i] != kNoVar) lits.push_back(mk_lit(cycle_vars[i]));
-  }
-  ok = sat::encode_exactly(solver, lits, static_cast<int>(entry.k - fixed_ones),
-                           options.card_encoding) &&
-       ok;
-
-  for (const Property* p : properties_) ok = p->encode(solver, cycle_vars) && ok;
-  return ok;
-}
-
-ReconstructionResult Reconstructor::reconstruct(
-    const LogEntry& entry, const ReconstructionOptions& options) const {
-  options.validate();
+ReconstructionResult Reconstructor::decode_entry(const LogEntry& entry,
+                                                 const ReconstructionOptions& options,
+                                                 const SatStage& sat_stage,
+                                                 const F2Presolve::Analysis* analysis,
+                                                 const char* engine) const {
   static obs::Counter& runs =
       obs::MetricsRegistry::global().counter("sr.reconstructions");
   static obs::Counter& signals_total =
@@ -183,8 +110,12 @@ ReconstructionResult Reconstructor::reconstruct(
   static obs::Timing& run_time =
       obs::MetricsRegistry::global().timing("sr.reconstruct_seconds");
 
+  check_width(*enc_, entry.tp);
   using Clock = std::chrono::steady_clock;
   const auto start = Clock::now();
+  const auto elapsed = [&start] {
+    return std::chrono::duration<double>(Clock::now() - start).count();
+  };
   obs::Tracer::Span span;
   if (options.tracer != nullptr) {
     span = options.tracer->span(
@@ -192,122 +123,122 @@ ReconstructionResult Reconstructor::reconstruct(
         {{"m", static_cast<std::uint64_t>(enc_->m())},
          {"k", static_cast<std::uint64_t>(entry.k)},
          {"properties", static_cast<std::uint64_t>(properties_.size())}});
+    if (engine != nullptr) span.add("engine", engine);
+  }
+
+  // The certified path skips the presolve: every verdict must be derivable
+  // inside the solver for the DRAT stream to check out.
+  F2Presolve::Analysis own;
+  if (analysis == nullptr && options.presolve && options.proof == nullptr) {
+    own = presolve_->analyze(entry.tp);
+    analysis = &own;
   }
 
   ReconstructionResult result;
-  auto finish = [&](ReconstructionResult& r) {
-    runs.add(1);
-    signals_total.add(static_cast<std::int64_t>(r.signals.size()));
-    run_time.observe(r.seconds_total);
-    if (span.active()) {
-      span.add("signals", static_cast<std::uint64_t>(r.signals.size()));
-      span.add("status", sat::to_string(r.final_status));
-      span.finish();
-    }
-  };
-
-  // The certified path keeps the classic encoding: every verdict must be
-  // derivable inside the solver for the DRAT stream to check out.
-  const bool use_presolve = options.presolve && options.proof == nullptr;
-  F2Presolve::Analysis analysis;
-  if (use_presolve) {
-    analysis = presolve_->analyze(entry.tp);
-    if (!analysis.consistent) {
-      // A·x = TP has no solution even without the weight constraint: the
-      // preimage is empty and complete, no solver needed.
-      result.final_status = Status::Unsat;
-      result.seconds_total =
-          std::chrono::duration<double>(Clock::now() - start).count();
-      if (options.tracer != nullptr) options.tracer->event("sr.presolve_unsat");
-      finish(result);
-      return result;
-    }
-    if (presolve_->nullity() <= options.presolve_enum_limit) {
-      // The whole affine solution space is small: enumerate it directly,
-      // filtering on |x| = k and the properties. Zero solver variables.
-      F2Presolve::Decoded dec = presolve_->decode_by_enumeration(
-          analysis, entry.k, properties_, options.max_solutions);
-      result.signals = std::move(dec.signals);
-      result.final_status = dec.truncated ? Status::Sat : Status::Unsat;
-      result.seconds_total =
-          std::chrono::duration<double>(Clock::now() - start).count();
-      result.seconds_to_each.assign(result.signals.size(), result.seconds_total);
-      if (options.verify_models) {
-        require_verified(*enc_, entry, result.signals, properties_);
-      }
-      if (options.tracer != nullptr) {
-        options.tracer->event(
-            "sr.presolve_decode",
-            {{"signals", static_cast<std::uint64_t>(result.signals.size())}});
-      }
-      finish(result);
-      return result;
-    }
-  }
-
-  const std::unique_ptr<SolverInterface> solver_ptr = options.make_solver();
-  SolverInterface& solver = *solver_ptr;
-  std::vector<Var> projection;  // enumeration projection (cycle or free vars)
-  obs::Tracer::Span encode_span;
-  if (options.tracer != nullptr) encode_span = options.tracer->span("sr.encode");
-  const bool encode_ok =
-      use_presolve
-          ? encode_presolved(solver, projection, entry, options, analysis)
-          : encode_base(solver, projection, entry, options);
-  if (encode_span.active()) {
-    encode_span.add("ok", encode_ok);
-    encode_span.add("presolved", use_presolve);
-    encode_span.add("vars", static_cast<std::int64_t>(solver.num_vars()));
-    encode_span.add("clauses", static_cast<std::uint64_t>(solver.num_clauses()));
-    encode_span.add("xors", static_cast<std::uint64_t>(solver.num_xors()));
-    encode_span.finish();
-  }
-
-  result.num_vars = solver.num_vars();
-  result.num_clauses = solver.num_clauses();
-  result.num_xors = solver.num_xors();
-
-  if (!encode_ok || !solver.okay()) {
-    // The encoding itself is contradictory (e.g. k > m, or a property that
-    // cannot coexist with the cardinality bound): the preimage is empty and
-    // complete. Don't spin up the enumeration machinery.
+  if (analysis != nullptr && !analysis->consistent) {
+    // A·x = TP has no solution even without the weight constraint.
     result.final_status = Status::Unsat;
-    result.stats = solver.stats();
-    result.seconds_total =
-        std::chrono::duration<double>(Clock::now() - start).count();
-    if (options.tracer != nullptr) options.tracer->event("sr.trivial_unsat");
+    if (options.tracer != nullptr) options.tracer->event("sr.presolve_unsat");
+  } else if (analysis != nullptr && presolve_->nullity() <= options.presolve_enum_limit) {
+    // The whole affine solution space is small: enumerate it directly,
+    // filtering on |x| = k and the properties. Zero solver variables.
+    F2Presolve::Decoded dec = presolve_->decode_by_enumeration(
+        *analysis, entry.k, properties_, options.max_solutions);
+    result.signals = std::move(dec.signals);
+    result.final_status = dec.truncated ? Status::Sat : Status::Unsat;
+    result.seconds_to_each.assign(result.signals.size(), elapsed());
+    if (options.tracer != nullptr) {
+      options.tracer->event(
+          "sr.presolve_decode",
+          {{"signals", static_cast<std::uint64_t>(result.signals.size())}});
+    }
   } else {
+    SatModels models = sat_stage(analysis, result);
+    result.final_status = models.run.final_status;
+    result.seconds_to_each = std::move(models.run.seconds_to_model);
+    for (const std::vector<bool>& model : models.run.models) {
+      if (models.free_cols) {
+        result.signals.push_back(Signal::from_bits(presolve_->expand(*analysis, model)));
+        continue;
+      }
+      Signal s(enc_->m());
+      for (std::size_t i = 0; i < model.size(); ++i) {
+        if (model[i]) s.set_change(i);
+      }
+      result.signals.push_back(std::move(s));
+    }
+  }
+  result.seconds_total = elapsed();
+  if (options.verify_models) require_verified(*enc_, entry, result.signals, properties_);
+
+  runs.add(1);
+  signals_total.add(static_cast<std::int64_t>(result.signals.size()));
+  run_time.observe(result.seconds_total);
+  span.add("signals", static_cast<std::uint64_t>(result.signals.size()));
+  span.add("status", sat::to_string(result.final_status));
+  return result;
+}
+
+ReconstructionResult Reconstructor::reconstruct(
+    const LogEntry& entry, const ReconstructionOptions& options) const {
+  return decode_fresh(entry, options, nullptr);
+}
+
+ReconstructionResult Reconstructor::decode_fresh(const LogEntry& entry,
+                                                 const ReconstructionOptions& options,
+                                                 const F2Presolve::Analysis* analysis) const {
+  options.validate();
+  // A fresh solver per entry: the raw rows with TP as right-hand side, or
+  // the presolve's RREF rows with T·TP, enumerating the free columns only.
+  const auto sat_stage = [&](const F2Presolve::Analysis* presolved,
+                             ReconstructionResult& result) {
+    const std::unique_ptr<SolverInterface> solver = options.make_solver();
+    obs::Tracer::Span encode_span;
+    if (options.tracer != nullptr) encode_span = options.tracer->span("sr.encode");
+    SrRows rows;
+    SrEncoder(*enc_, presolved != nullptr ? presolve_.get() : nullptr, options.native_xor)
+        .encode(*solver, rows, presolved != nullptr ? &presolved->transformed : &entry.tp,
+                !properties_.empty());
+    const bool encode_ok =
+        encode_count_and_properties(*solver, rows, entry.k, properties_, options);
+    result.num_vars = solver->num_vars();
+    result.num_clauses = solver->num_clauses();
+    result.num_xors = solver->num_xors();
+    encode_span.add("ok", encode_ok);
+    encode_span.add("presolved", presolved != nullptr);
+    encode_span.add("vars", static_cast<std::int64_t>(result.num_vars));
+    encode_span.add("clauses", static_cast<std::uint64_t>(result.num_clauses));
+    encode_span.add("xors", static_cast<std::uint64_t>(result.num_xors));
+    encode_span.finish();
+
+    SatModels out;
+    out.free_cols = presolved != nullptr;
+    if (!encode_ok || !solver->okay()) {
+      // The encoding itself is contradictory (e.g. k > m, or a property
+      // that cannot coexist with the cardinality bound): the preimage is
+      // empty and complete. Don't spin up the enumeration machinery.
+      out.run.final_status = Status::Unsat;
+      result.stats = solver->stats();
+      if (options.tracer != nullptr) options.tracer->event("sr.trivial_unsat");
+      return out;
+    }
+    std::vector<Var> projection;
+    if (out.free_cols) {
+      for (std::size_t f : presolve_->echelon().free_cols()) {
+        projection.push_back(rows.cycle_vars[f]);
+      }
+    } else {
+      projection = std::move(rows.cycle_vars);
+    }
     sat::AllSatOptions as;
     as.max_models = options.max_solutions;
     as.limits = options.limits;
     as.with_config(options);
-    const sat::AllSatResult models =
-        sat::enumerate_models(solver, projection, as);
-
-    result.final_status = models.final_status;
-    result.seconds_to_each = models.seconds_to_model;
-    result.seconds_total = models.seconds_total;
-    result.stats = solver.stats();
-    for (const auto& model : models.models) {
-      if (use_presolve) {
-        // Projection is the free columns; substitute the pivot values back.
-        result.signals.push_back(
-            Signal::from_bits(presolve_->expand(analysis, model)));
-      } else {
-        Signal s(enc_->m());
-        for (std::size_t i = 0; i < model.size(); ++i) {
-          if (model[i]) s.set_change(i);
-        }
-        result.signals.push_back(std::move(s));
-      }
-    }
-    if (options.verify_models) {
-      require_verified(*enc_, entry, result.signals, properties_);
-    }
-  }
-
-  finish(result);
-  return result;
+    out.run = sat::enumerate_models(*solver, projection, as);
+    result.stats = solver->stats();
+    return out;
+  };
+  return decode_entry(entry, options, sat_stage, analysis);
 }
 
 CheckResult Reconstructor::check_hypothesis(const LogEntry& entry,
@@ -343,22 +274,12 @@ CheckResult Reconstructor::check_hypothesis(const LogEntry& entry,
   result.num_clauses = solver.num_clauses();
   result.num_xors = solver.num_xors();
 
-  if (!encode_ok || !solver.okay()) {
-    // No assignment satisfies the encoding plus the negated hypothesis —
-    // vacuously, every reconstruction satisfies the hypothesis. Skip the
-    // solve (which would only rediscover the root-level conflict).
-    result.verdict = CheckVerdict::HoldsForAll;
-    result.stats = solver.stats();
-    result.seconds = std::chrono::duration<double>(Clock::now() - start).count();
-    if (options.tracer != nullptr) options.tracer->event("sr.trivial_unsat");
-    if (span.active()) {
-      span.add("verdict", to_string(result.verdict));
-      span.finish();
-    }
-    return result;
-  }
-
-  const Status st = solver.solve(options.limits);
+  // No assignment satisfying the encoding plus the negated hypothesis
+  // means every reconstruction satisfies the hypothesis, vacuously; skip
+  // the solve then (it would only rediscover the root-level conflict).
+  const bool trivial = !encode_ok || !solver.okay();
+  if (trivial && options.tracer != nullptr) options.tracer->event("sr.trivial_unsat");
+  const Status st = trivial ? Status::Unsat : solver.solve(options.limits);
 
   result.seconds = std::chrono::duration<double>(Clock::now() - start).count();
   result.stats = solver.stats();
@@ -391,10 +312,7 @@ CheckResult Reconstructor::check_hypothesis(const LogEntry& entry,
       result.verdict = CheckVerdict::Unknown;
       break;
   }
-  if (span.active()) {
-    span.add("verdict", to_string(result.verdict));
-    span.finish();
-  }
+  span.add("verdict", to_string(result.verdict));
   return result;
 }
 

@@ -17,6 +17,7 @@
 // variables.
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -50,12 +51,6 @@ struct ReconstructionOptions : sat::SolverConfig {
   /// true: native XOR constraints (CryptoMiniSat-style, the paper's path);
   /// false: Tseitin-chained CNF (ablation).
   bool native_xor = true;
-  /// Deprecated alias of the inherited gauss_max_unassigned, kept for one
-  /// release: 0 = defer to gauss_max_unassigned; non-zero wins over it.
-  /// (0 in both = auto gate; SIZE_MAX = run the elimination at every
-  /// fixpoint, which pays off when strong structural properties assign
-  /// many cycle variables at once.)
-  std::size_t gauss_gate = 0;
   /// Which solver backend every engine of this run builds through
   /// make_solver(): one sat::Solver, or a sat::PortfolioSolver racing
   /// `portfolio_members` diversified configurations per solve with
@@ -131,10 +126,9 @@ struct ReconstructionOptions : sat::SolverConfig {
   void validate() const;
 
   /// The SolverOptions these knobs induce — since both structs inherit
-  /// sat::SolverConfig this is one config-slice assignment plus the
-  /// gauss_gate alias fold, the single source of truth for every engine
-  /// that builds a solver for an SR query (fresh, split and template
-  /// paths).
+  /// sat::SolverConfig this is one config-slice assignment, the single
+  /// source of truth for every engine that builds a solver for an SR
+  /// query (fresh, split and template paths).
   sat::SolverOptions solver_options() const;
 
   /// Build the selected backend (solver_backend / portfolio_members /
@@ -206,7 +200,8 @@ class Reconstructor {
   const std::vector<const Property*>& properties() const { return properties_; }
 
   /// Enumerate signals with α̃(S) = entry, subject to the registered
-  /// properties.
+  /// properties. Throws std::invalid_argument on a timeprint of the wrong
+  /// width.
   ReconstructionResult reconstruct(const LogEntry& entry,
                                    const ReconstructionOptions& options = {}) const;
 
@@ -214,7 +209,8 @@ class Reconstructor {
   /// properties) satisfies `hypothesis`: encodes the hypothesis' negation
   /// and asks for a counterexample; UNSAT proves the hypothesis (the
   /// paper's §5.2.1 deadline proof). Throws std::invalid_argument if the
-  /// hypothesis cannot provide a negation.
+  /// hypothesis cannot provide a negation or the timeprint has the wrong
+  /// width.
   CheckResult check_hypothesis(const LogEntry& entry, const Property& hypothesis,
                                const ReconstructionOptions& options = {}) const;
 
@@ -224,11 +220,13 @@ class Reconstructor {
                                          const LogEntry& entry,
                                          const std::vector<const Property*>& props = {});
 
-  /// Build solver + cycle variables with the SR encoding and registered
-  /// properties. Returns false iff trivially UNSAT. Public so engines that
-  /// own the enumeration loop (the batch/cube engine, custom AllSAT
-  /// drivers) can encode once and branch the solver per worker. Works
-  /// against any SolverInterface backend.
+  /// Build solver + cycle variables with the SR encoding over A's raw rows
+  /// (constant right-hand side) and the registered properties. Returns
+  /// false iff trivially UNSAT; throws std::invalid_argument on a
+  /// timeprint of the wrong width. Public so engines that own the
+  /// enumeration loop (the batch/cube engine, custom AllSAT drivers) can
+  /// encode once and branch the solver per worker. Works against any
+  /// SolverInterface backend.
   bool encode_base(sat::SolverInterface& solver, std::vector<sat::Var>& cycle_vars,
                    const LogEntry& entry, const ReconstructionOptions& options) const;
 
@@ -239,14 +237,44 @@ class Reconstructor {
   const F2Presolve& presolve() const { return *presolve_; }
 
  private:
-  /// Substituted encoding: free-column variables plus rank(A) XOR-defined
-  /// pivot variables (constant pivots get no variable unless a property
-  /// needs the full cycle array). Returns false iff trivially UNSAT;
-  /// `free_vars` receives the enumeration projection in free_cols order.
-  bool encode_presolved(sat::SolverInterface& solver,
-                        std::vector<sat::Var>& free_vars, const LogEntry& entry,
-                        const ReconstructionOptions& options,
-                        const F2Presolve::Analysis& analysis) const;
+  // The engines built on a Reconstructor: a template embeds one and runs
+  // its own SAT stage through decode_entry; the batch prepass hands
+  // decode_fresh the analyses of its bit-sliced sweep.
+  friend class TemplateReconstructor;
+  friend class BatchReconstructor;
+
+  /// What an engine's SAT stage reports back to decode_entry.
+  struct SatModels {
+    sat::AllSatResult run;
+    /// The projection was the presolve's free columns, so each model's
+    /// pivot values are substituted back through F2Presolve::expand.
+    bool free_cols = false;
+  };
+  /// An engine's SAT stage: encode or assume the entry, enumerate, and
+  /// record the encoded problem size and the solver effort in the result.
+  /// It gets the entry's F2 analysis when the presolve ran, else null.
+  using SatStage =
+      std::function<SatModels(const F2Presolve::Analysis*, ReconstructionResult&)>;
+
+  /// The per-entry pipeline of every engine. It rejects a wrong-width
+  /// timeprint, then runs the F2 presolve (with options.presolve and no
+  /// proof sink): an inconsistent system is a complete empty preimage,
+  /// and a nullity within presolve_enum_limit is decoded by walking the
+  /// affine solution space. Everything else goes to `sat_stage`. Models
+  /// become Signals and pass verify_models, all inside one
+  /// "sr.reconstruct" span (`engine` names the engine when non-null)
+  /// counted by the sr.* metrics. `analysis` is the entry's precomputed
+  /// F2 analysis, or null to compute it here.
+  ReconstructionResult decode_entry(const LogEntry& entry,
+                                    const ReconstructionOptions& options,
+                                    const SatStage& sat_stage,
+                                    const F2Presolve::Analysis* analysis,
+                                    const char* engine = nullptr) const;
+
+  /// reconstruct(), optionally given the entry's F2 analysis.
+  ReconstructionResult decode_fresh(const LogEntry& entry,
+                                    const ReconstructionOptions& options,
+                                    const F2Presolve::Analysis* analysis) const;
 
   const TimestampEncoding* enc_;
   std::shared_ptr<const F2Presolve> presolve_;

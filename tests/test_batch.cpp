@@ -265,7 +265,7 @@ TEST(BatchOptions, ValidateRejectsInconsistentKnobs) {
 
   BatchOptions dead_gate;
   dead_gate.recon.use_gauss = false;
-  dead_gate.recon.gauss_gate = SIZE_MAX;
+  dead_gate.recon.gauss_max_unassigned = SIZE_MAX;
   EXPECT_THROW(batch.reconstruct_all(entries, dead_gate), std::invalid_argument);
 
   BatchOptions too_many_cubes;

@@ -3,17 +3,25 @@
 // width wire frames). Deterministic pseudo-random mutations — truncation,
 // character substitution, bit flips, resizes — must never crash, never
 // produce an out-of-contract value, and fail only with std::runtime_error.
+// A well-formed entry of the wrong width (a log of another encoding) must
+// be rejected by every decoder with std::invalid_argument.
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "f2/bitvec.hpp"
 #include "rtlsim/framing.hpp"
+#include "timeprint/batch.hpp"
 #include "timeprint/design.hpp"
+#include "timeprint/incremental.hpp"
+#include "timeprint/joint.hpp"
 #include "timeprint/logger.hpp"
+#include "timeprint/properties.hpp"
 #include "timeprint/signal.hpp"
 
 using namespace tp;
@@ -154,5 +162,52 @@ TEST(CorruptFraming, WrongPayloadSizesAreRejected) {
     std::vector<bool> resized = bits;
     resized.resize(size, false);
     EXPECT_THROW(rtl::deserialize_entry(resized, m, b), std::runtime_error);
+  }
+}
+
+TEST(CorruptTimeprint, WrongWidthIsRejectedByEveryEngine) {
+  // TraceLog::load checks a file only against its own header, so a log of
+  // another encoding reaches the decoders intact. Each must name both
+  // widths instead of reading past the encoding's rows (the batch
+  // prepass's bit-sliced sweep) or zero-padding the missing bits.
+  const std::size_t m = 16, b = 9;
+  const auto enc = core::TimestampEncoding::random_constrained(m, b, 4, 7);
+  core::BatchReconstructor batch(enc);
+  const core::Reconstructor& rec = batch.reconstructor();
+  core::TemplateReconstructor tmpl(rec, {});
+  const core::JointReconstructor joint(enc);
+  const core::MinChangesBefore hypothesis(m, 1);
+  f2::Rng rng(13);
+  const core::LogEntry good =
+      core::Logger(enc).log(core::Signal::random_with_changes(m, 2, rng));
+
+  for (const std::size_t width : {b - 1, b + 1}) {
+    SCOPED_TRACE("width=" + std::to_string(width));
+    const core::LogEntry bad{f2::BitVec::random(width, rng), 2};
+    const auto expect_rejected = [&](const std::function<void()>& decode) {
+      try {
+        decode();
+        ADD_FAILURE() << "a " << width << "-bit timeprint was accepted";
+      } catch (const std::invalid_argument& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("has " + std::to_string(width) + " bits"), std::string::npos)
+            << what;
+        EXPECT_NE(what.find("b = " + std::to_string(b)), std::string::npos) << what;
+      }
+    };
+    core::ReconstructionOptions raw;
+    raw.presolve = false;
+    expect_rejected([&] { rec.reconstruct(bad); });
+    expect_rejected([&] { rec.reconstruct(bad, raw); });
+    expect_rejected([&] { rec.check_hypothesis(bad, hypothesis); });
+    expect_rejected([&] { tmpl.reconstruct(bad); });
+    expect_rejected([&] { joint.reconstruct({good, bad}); });
+    core::BatchOptions opts;
+    opts.num_threads = 2;
+    expect_rejected([&] { batch.reconstruct_split(bad, opts); });
+    for (const bool incremental : {false, true}) {
+      opts.recon.incremental = incremental;
+      expect_rejected([&] { batch.reconstruct_all({good, bad}, opts); });
+    }
   }
 }

@@ -301,7 +301,7 @@ TEST(SolverProof, AssumptionUnsatCertifiedWithAssumptionUnits) {
   Var a = s.new_var(), b = s.new_var();
   ASSERT_TRUE(s.add_clause({~mk_lit(a), mk_lit(b)}));  // a -> b
   ASSERT_EQ(s.solve_assuming({mk_lit(a), ~mk_lit(b)}), Status::Unsat);
-  ASSERT_FALSE(s.final_conflict().empty());
+  ASSERT_FALSE(s.failed().empty());
   // The logged failure clause is implied by the formula alone; under the
   // assumptions (added as formula units) it completes a refutation.
   certify(proof, /*expect_unsat=*/true, {{1}, {-2}}, /*append_empty=*/true);

@@ -158,6 +158,10 @@ struct SchemeCase {
   const char* name;
 };
 
+// Without a printer gtest dumps the raw bytes — including the string-literal
+// pointer and padding — so the registered test names changed from run to run.
+void PrintTo(const SchemeCase& c, std::ostream* os) { *os << c.name; }
+
 class SchemeNameTest : public ::testing::TestWithParam<SchemeCase> {};
 
 TEST_P(SchemeNameTest, ToString) {

@@ -513,5 +513,94 @@ TEST(Incremental, CacheBoundHoldsOverTenThousandEntrySoak) {
             static_cast<std::int64_t>(opts.template_cache_bytes));
 }
 
+TEST(Incremental, EntryStatsIncludeSolveSeconds) {
+  // A template entry's stats are the difference of the solver's lifetime
+  // counters around its solve: every field, the solve time included.
+  const TimestampEncoding enc = TimestampEncoding::random_constrained(32, 16, 4, 7);
+  TemplateReconstructor tmpl(enc, {}, {});
+  f2::Rng rng(3);
+  const ReconstructionResult r =
+      tmpl.reconstruct(Logger(enc).log(Signal::random_with_changes(enc.m(), 3, rng)));
+  ASSERT_TRUE(r.complete());
+  ASSERT_GT(r.num_vars, 0);  // reached the solver
+  EXPECT_GT(r.stats.propagations, 0);
+  EXPECT_GT(r.stats.solve_seconds, 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// The shared per-entry pipeline: every engine reports and counts an entry
+// the same way, whichever stage resolved it.
+// ---------------------------------------------------------------------------
+
+// m = 12 timestamps of width 24, two of them dependent: rank 10 < b, so a
+// random timeprint is almost surely inconsistent, and nullity 2.
+TimestampEncoding rank_deficient_encoding() {
+  f2::Rng rng(67);
+  std::vector<f2::BitVec> ts;
+  for (int i = 0; i < 10; ++i) ts.push_back(f2::BitVec::random(24, rng));
+  ts.push_back(ts[0] ^ ts[1]);
+  ts.push_back(ts[2] ^ ts[3]);
+  return TimestampEncoding::from_vectors(ts, 1);
+}
+
+TEST(DecodePipeline, PresolveResolvedEntriesReportNoEncodedProblem) {
+  const TimestampEncoding enc = rank_deficient_encoding();
+  Reconstructor rec(enc);
+  TemplateReconstructor tmpl(rec, {});
+  BatchReconstructor batch(enc);
+  f2::Rng rng(5);
+  const LogEntry inconsistent{f2::BitVec::random(enc.width(), rng), 2};
+  ASSERT_FALSE(rec.presolve().analyze(inconsistent.tp).consistent);
+  // Nullity 2 is within the default presolve_enum_limit: enumerated.
+  const LogEntry enumerated =
+      Logger(enc).log(Signal::random_with_changes(enc.m(), 3, rng));
+
+  for (const LogEntry& entry : {inconsistent, enumerated}) {
+    std::vector<ReconstructionResult> results = {rec.reconstruct(entry),
+                                                 tmpl.reconstruct(entry)};
+    for (const bool incremental : {false, true}) {
+      BatchOptions opts;
+      opts.recon.incremental = incremental;
+      results.push_back(batch.reconstruct_all({entry}, opts).results[0]);
+    }
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      EXPECT_TRUE(results[i].complete()) << "engine " << i;
+      EXPECT_EQ(results[i].num_vars, 0) << "engine " << i;
+      EXPECT_EQ(results[i].num_clauses, 0u) << "engine " << i;
+      EXPECT_EQ(results[i].num_xors, 0u) << "engine " << i;
+    }
+  }
+}
+
+TEST(DecodePipeline, ReconstructAllCountsEveryEntryOnce) {
+  const TimestampEncoding enc = rank_deficient_encoding();
+  BatchReconstructor batch(enc);
+  Logger logger(enc);
+  f2::Rng rng(7);
+  std::vector<LogEntry> entries;
+  for (int i = 0; i < 6; ++i) {
+    entries.push_back(logger.log(Signal::random_with_changes(enc.m(), 2, rng)));
+    entries.push_back({f2::BitVec::random(enc.width(), rng), 2});
+  }
+  BatchOptions opts;
+  opts.num_threads = 2;
+  opts.recon.presolve_enum_limit = 0;  // consistent entries go to the solver
+
+  const auto& reg = obs::MetricsRegistry::global();
+  for (const bool incremental : {false, true}) {
+    opts.recon.incremental = incremental;
+    const std::int64_t before = reg.counter_value("sr.reconstructions");
+    const BatchResult r = batch.reconstruct_all(entries, opts);
+    EXPECT_TRUE(r.complete());
+    std::size_t solved = 0;
+    for (const ReconstructionResult& e : r.results) solved += e.num_vars > 0 ? 1 : 0;
+    EXPECT_GT(solved, 0u);               // solver-bound entries ...
+    EXPECT_LT(solved, entries.size());   // ... mixed with prepass-resolved ones
+    EXPECT_EQ(reg.counter_value("sr.reconstructions") - before,
+              static_cast<std::int64_t>(entries.size()))
+        << "incremental=" << incremental;
+  }
+}
+
 }  // namespace
 }  // namespace tp::core

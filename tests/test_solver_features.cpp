@@ -182,9 +182,9 @@ TEST(Assumptions, UnsatUnderAssumptionsKeepsSolverUsable) {
   ASSERT_TRUE(s.add_clause({mk_lit(vars[0]), mk_lit(vars[1])}));
   EXPECT_EQ(s.solve_assuming({~mk_lit(vars[0]), ~mk_lit(vars[1])}), Status::Unsat);
   EXPECT_TRUE(s.okay());  // not unconditionally unsat
-  // final_conflict is a clause over the failed assumptions.
-  EXPECT_FALSE(s.final_conflict().empty());
-  for (Lit l : s.final_conflict()) {
+  // failed() is a clause over the failed assumptions.
+  EXPECT_FALSE(s.failed().empty());
+  for (Lit l : s.failed()) {
     EXPECT_TRUE(l == mk_lit(vars[0]) || l == mk_lit(vars[1]));
   }
   EXPECT_EQ(s.solve(), Status::Sat);
@@ -199,7 +199,7 @@ TEST(Assumptions, PropagatedConflictFindsResponsibleSubset) {
   EXPECT_EQ(s.solve_assuming({mk_lit(vars[0]), ~mk_lit(vars[1]), mk_lit(vars[2])}),
             Status::Unsat);
   // vars[2] must not be blamed.
-  for (Lit l : s.final_conflict()) EXPECT_NE(l.var(), vars[2]);
+  for (Lit l : s.failed()) EXPECT_NE(l.var(), vars[2]);
   EXPECT_EQ(s.solve_assuming({mk_lit(vars[0]), mk_lit(vars[2])}), Status::Sat);
 }
 
@@ -236,6 +236,61 @@ TEST(SolverStats, CountersIncrease) {
   ASSERT_EQ(s.solve(), Status::Sat);
   EXPECT_GT(s.stats().decisions, 0);
   EXPECT_GT(s.stats().propagations, 0);
+}
+
+TEST(SolverStats, SubtractionUndoesAdditionFieldByField) {
+  // Every field distinct and non-zero in both operands, so a field that
+  // either operator skips shows up; the seconds are exact in binary.
+  SolverStats a;
+  a.conflicts = 1;
+  a.decisions = 2;
+  a.propagations = 3;
+  a.xor_propagations = 4;
+  a.restarts = 5;
+  a.learnt_clauses = 6;
+  a.removed_clauses = 7;
+  a.minimized_literals = 8;
+  a.gauss_runs = 9;
+  a.vivified_literals = 10;
+  a.subsumed_clauses = 11;
+  a.arena_gc_runs = 12;
+  a.arena_bytes_reclaimed = 13;
+  a.inprocess_rounds = 14;
+  a.solve_seconds = 0.5;
+  SolverStats b;
+  b.conflicts = 101;
+  b.decisions = 102;
+  b.propagations = 103;
+  b.xor_propagations = 104;
+  b.restarts = 105;
+  b.learnt_clauses = 106;
+  b.removed_clauses = 107;
+  b.minimized_literals = 108;
+  b.gauss_runs = 109;
+  b.vivified_literals = 110;
+  b.subsumed_clauses = 111;
+  b.arena_gc_runs = 112;
+  b.arena_bytes_reclaimed = 113;
+  b.inprocess_rounds = 114;
+  b.solve_seconds = 0.25;
+
+  SolverStats c = a;
+  (c += b) -= b;
+  EXPECT_EQ(c.conflicts, a.conflicts);
+  EXPECT_EQ(c.decisions, a.decisions);
+  EXPECT_EQ(c.propagations, a.propagations);
+  EXPECT_EQ(c.xor_propagations, a.xor_propagations);
+  EXPECT_EQ(c.restarts, a.restarts);
+  EXPECT_EQ(c.learnt_clauses, a.learnt_clauses);
+  EXPECT_EQ(c.removed_clauses, a.removed_clauses);
+  EXPECT_EQ(c.minimized_literals, a.minimized_literals);
+  EXPECT_EQ(c.gauss_runs, a.gauss_runs);
+  EXPECT_EQ(c.vivified_literals, a.vivified_literals);
+  EXPECT_EQ(c.subsumed_clauses, a.subsumed_clauses);
+  EXPECT_EQ(c.arena_gc_runs, a.arena_gc_runs);
+  EXPECT_EQ(c.arena_bytes_reclaimed, a.arena_bytes_reclaimed);
+  EXPECT_EQ(c.inprocess_rounds, a.inprocess_rounds);
+  EXPECT_EQ(c.solve_seconds, a.solve_seconds);
 }
 
 TEST(SolverOptions, DefaultPolarityRespected) {
