@@ -15,6 +15,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 
 #include "bench_util.hpp"
 #include "can/forensics.hpp"
@@ -179,30 +180,46 @@ int main(int argc, char** argv) {
   opt.limits.max_seconds = budget();
   const auto refute = rec.reconstruct(entry, opt);
   const double dt = std::chrono::duration<double>(Clock::now() - t0).count();
+  const double deadline_s = refute.final_status == sat::Status::Unknown ? -1.0 : dt;
   const char* verdict =
       refute.final_status == sat::Status::Unsat
           ? "UNSAT: provably missed the deadline"
           : (refute.signals.empty() ? "budget exhausted" : "SAT?!");
   std::printf("%-52s %10s %10s  %s\n", "deadline-met hypothesis (expected UNSAT)",
-              "0m1.597s",
-              bench::fmt_time(refute.final_status == sat::Status::Unknown ? -1 : dt)
-                  .c_str(),
-              verdict);
+              "0m1.597s", bench::fmt_time(deadline_s).c_str(), verdict);
   report.add_solver_stats(refute.stats);
   report.add_row(obs::Json::object()
                      .set("query", "deadline_refutation")
-                     .set("seconds",
-                          refute.final_status == sat::Status::Unknown ? -1.0 : dt)
+                     .set("seconds", deadline_s)
                      .set("proved_unsat",
                           refute.final_status == sat::Status::Unsat));
   report.finish();
 
-  std::printf("\nShape checks vs the paper: all three queries land in the same\n"
-              "tens-of-seconds-to-minutes range the paper reports, recover the\n"
-              "hidden transmission start exactly, and prove the deadline miss by\n"
-              "UNSAT. (The paper's windowed/deadline queries were faster than its\n"
-              "full-cycle one; with our solver the ranking varies by instance —\n"
-              "fewer candidate placements also means fewer easy entry points for\n"
-              "the search.)\n");
+  const bool correct = full.ok && full.found_start == start_rel && windowed.ok &&
+                       windowed.found_start == start_rel &&
+                       refute.final_status == sat::Status::Unsat;
+  const bool paper_order = correct && windowed.seconds <= full.seconds &&
+                           deadline_s <= full.seconds;
+  const auto share = [](double ours, double paper) {
+    if (ours < 0) return std::string("TO");
+    char buf[16];
+    std::snprintf(buf, sizeof(buf), "%.2fx", ours / paper);
+    return std::string(buf);
+  };
+  std::printf("\nShape checks vs the paper: %s.\n"
+              "Time as a share of the paper's (which ran CryptoMiniSat 2.x on an\n"
+              "i7-7500U): full trace-cycle %s, failure window %s, deadline proof %s.\n"
+              "%s\n",
+              correct ? "the hidden transmission start is\n"
+                        "recovered exactly and the deadline miss is proved by UNSAT"
+                      : "NOT every query was answered\n"
+                        "correctly within the budget",
+              share(full.ok ? full.seconds : -1.0, 38.279).c_str(),
+              share(windowed.ok ? windowed.seconds : -1.0, 3.082).c_str(),
+              share(deadline_s, 1.597).c_str(),
+              paper_order ? "As in the paper, the windowed and deadline queries, with fewer\n"
+                            "candidate placements, are cheaper than the full one."
+                          : "Unlike the paper, the windowed and deadline queries are not\n"
+                            "both cheaper than the full one.");
   return 0;
 }

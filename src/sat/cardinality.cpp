@@ -6,37 +6,64 @@ namespace tp::sat {
 
 namespace {
 
-// Sinz's sequential counter (LT-SEQ) for "at most k of lits". Introduces
-// registers s[i][j] meaning "at least j+1 of lits[0..i] are true".
-bool sinz_at_most(SolverInterface& s, const std::vector<Lit>& lits, int k) {
-  const int n = static_cast<int>(lits.size());
-  assert(k >= 1 && k < n);
-
-  // s_vars[i][j] for i in [0, n-2], j in [0, k-1].
-  std::vector<std::vector<Lit>> reg(static_cast<std::size_t>(n - 1));
-  for (auto& row : reg) {
-    row.reserve(static_cast<std::size_t>(k));
-    for (int j = 0; j < k; ++j) row.push_back(mk_lit(s.new_var()));
+// Sinz's sequential counter (LT-SEQ) over lits[0..n) and a bound k with
+// 1 <= k < n: one register r(i, j) per i < n, j < k meaning "at least j+1 of
+// lits[0..i] are true". At-most-k needs only the upward half (a true count
+// sets its registers; a literal after a full count is banned), at-least-k
+// only the downward half (a true register has its count behind it; the
+// last row reaches k); exactly-k emits both over the same n·k registers.
+class SinzCounter {
+ public:
+  SinzCounter(SolverInterface& s, const std::vector<Lit>& lits, std::size_t k)
+      : s_(s), lits_(lits), k_(k) {
+    assert(k >= 1 && k < lits.size());
+    reg_.reserve(lits.size() * k);
+    for (std::size_t i = 0; i < lits.size() * k; ++i) reg_.push_back(mk_lit(s.new_var()));
+    for (std::size_t j = 1; j < k; ++j) add({~r(0, j)});  // lits[0..0] count at most 1
   }
 
-  bool ok = true;
-  auto add = [&](std::vector<Lit> c) { ok = s.add_clause(std::move(c)) && ok; };
-
-  add({~lits[0], reg[0][0]});
-  for (int j = 1; j < k; ++j) add({~reg[0][static_cast<std::size_t>(j)]});
-  for (int i = 1; i < n - 1; ++i) {
-    const auto ui = static_cast<std::size_t>(i);
-    add({~lits[ui], reg[ui][0]});
-    add({~reg[ui - 1][0], reg[ui][0]});
-    for (int j = 1; j < k; ++j) {
-      const auto uj = static_cast<std::size_t>(j);
-      add({~lits[ui], ~reg[ui - 1][uj - 1], reg[ui][uj]});
-      add({~reg[ui - 1][uj], reg[ui][uj]});
+  void upward() {
+    add({~lits_[0], r(0, 0)});
+    for (std::size_t i = 1; i < lits_.size(); ++i) {
+      add({~lits_[i], r(i, 0)});
+      add({~r(i - 1, 0), r(i, 0)});
+      for (std::size_t j = 1; j < k_; ++j) {
+        add({~lits_[i], ~r(i - 1, j - 1), r(i, j)});
+        add({~r(i - 1, j), r(i, j)});
+      }
+      add({~lits_[i], ~r(i - 1, k_ - 1)});
     }
-    add({~lits[ui], ~reg[ui - 1][static_cast<std::size_t>(k - 1)]});
   }
-  add({~lits[static_cast<std::size_t>(n - 1)],
-       ~reg[static_cast<std::size_t>(n - 2)][static_cast<std::size_t>(k - 1)]});
+
+  void downward() {
+    add({~r(0, 0), lits_[0]});
+    for (std::size_t i = 1; i < lits_.size(); ++i) {
+      add({~r(i, 0), r(i - 1, 0), lits_[i]});
+      for (std::size_t j = 1; j < k_; ++j) {
+        add({~r(i, j), r(i - 1, j), lits_[i]});
+        add({~r(i, j), r(i - 1, j), r(i - 1, j - 1)});
+      }
+    }
+    add({r(lits_.size() - 1, k_ - 1)});
+  }
+
+  bool ok() const { return ok_; }
+
+ private:
+  Lit r(std::size_t i, std::size_t j) const { return reg_[i * k_ + j]; }
+  void add(std::vector<Lit> c) { ok_ = s_.add_clause(std::move(c)) && ok_; }
+
+  SolverInterface& s_;
+  const std::vector<Lit>& lits_;
+  std::size_t k_;
+  std::vector<Lit> reg_;
+  bool ok_ = true;
+};
+
+// Every literal forced to `value`: the count-0 and count-n cases.
+bool fix_all(SolverInterface& solver, const std::vector<Lit>& lits, bool value) {
+  bool ok = true;
+  for (Lit l : lits) ok = solver.add_clause({value ? l : ~l}) && ok;
   return ok;
 }
 
@@ -95,55 +122,50 @@ std::vector<Lit> totalizer_outputs(SolverInterface& solver, const std::vector<Li
   return totalizer_build(solver, lits, 0, lits.size(), cap, ok);
 }
 
-bool encode_at_most(SolverInterface& solver, const std::vector<Lit>& lits, int k,
+bool encode_at_most(SolverInterface& solver, const std::vector<Lit>& lits, std::size_t k,
                     CardEncoding enc) {
-  const int n = static_cast<int>(lits.size());
-  if (k < 0) return solver.add_clause({});  // impossible
-  if (k >= n) return solver.okay();
-  if (k == 0) {
-    bool ok = true;
-    for (Lit l : lits) ok = solver.add_clause({~l}) && ok;
-    return ok;
+  if (k >= lits.size()) return solver.okay();
+  if (k == 0) return fix_all(solver, lits, false);
+  if (enc == CardEncoding::SequentialCounter) {
+    SinzCounter counter(solver, lits, k);
+    counter.upward();
+    return counter.ok();
   }
-  if (enc == CardEncoding::SequentialCounter) return sinz_at_most(solver, lits, k);
-  const std::vector<Lit> outs = totalizer_outputs(solver, lits, k + 1);
-  if (static_cast<int>(outs.size()) >= k + 1) {
-    return solver.add_clause({~outs[static_cast<std::size_t>(k)]});
-  }
+  const std::vector<Lit> outs = totalizer_outputs(solver, lits, static_cast<int>(k) + 1);
+  if (outs.size() >= k + 1) return solver.add_clause({~outs[k]});
   return solver.okay();
 }
 
-bool encode_at_least(SolverInterface& solver, const std::vector<Lit>& lits, int k,
+bool encode_at_least(SolverInterface& solver, const std::vector<Lit>& lits, std::size_t k,
                      CardEncoding enc) {
-  const int n = static_cast<int>(lits.size());
-  if (k <= 0) return solver.okay();
-  if (k > n) return solver.add_clause({});  // impossible
-  if (enc == CardEncoding::SequentialCounter) {
-    std::vector<Lit> negated;
-    negated.reserve(lits.size());
-    for (Lit l : lits) negated.push_back(~l);
-    return encode_at_most(solver, negated, n - k, enc);
+  if (k == 0) return solver.okay();
+  if (k > lits.size()) return solver.add_clause({});  // impossible
+  if (enc == CardEncoding::Totalizer) {
+    const std::vector<Lit> outs = totalizer_outputs(solver, lits, static_cast<int>(k));
+    return solver.add_clause({outs[k - 1]});
   }
-  const std::vector<Lit> outs = totalizer_outputs(solver, lits, k);
-  return solver.add_clause({outs[static_cast<std::size_t>(k - 1)]});
+  if (k == lits.size()) return fix_all(solver, lits, true);
+  SinzCounter counter(solver, lits, k);
+  counter.downward();
+  return counter.ok();
 }
 
-bool encode_exactly(SolverInterface& solver, const std::vector<Lit>& lits, int k,
+bool encode_exactly(SolverInterface& solver, const std::vector<Lit>& lits, std::size_t k,
                     CardEncoding enc) {
-  const int n = static_cast<int>(lits.size());
-  if (k < 0 || k > n) return solver.add_clause({});  // impossible
-  if (enc == CardEncoding::Totalizer && n > 0 && k >= 1) {
+  if (k > lits.size()) return solver.add_clause({});  // impossible
+  if (k == 0) return encode_at_most(solver, lits, 0, enc);
+  if (enc == CardEncoding::Totalizer) {
     // One shared totalizer serves both bounds.
-    const std::vector<Lit> outs = totalizer_outputs(solver, lits, k + 1);
-    bool ok = solver.add_clause({outs[static_cast<std::size_t>(k - 1)]});
-    if (static_cast<int>(outs.size()) >= k + 1) {
-      ok = solver.add_clause({~outs[static_cast<std::size_t>(k)]}) && ok;
-    }
+    const std::vector<Lit> outs = totalizer_outputs(solver, lits, static_cast<int>(k) + 1);
+    bool ok = solver.add_clause({outs[k - 1]});
+    if (outs.size() >= k + 1) ok = solver.add_clause({~outs[k]}) && ok;
     return ok;
   }
-  const bool ok1 = encode_at_most(solver, lits, k, enc);
-  const bool ok2 = encode_at_least(solver, lits, k, enc);
-  return ok1 && ok2;
+  if (k == lits.size()) return encode_at_least(solver, lits, k, enc);
+  SinzCounter counter(solver, lits, k);
+  counter.upward();
+  counter.downward();
+  return counter.ok();
 }
 
 }  // namespace tp::sat

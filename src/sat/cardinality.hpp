@@ -3,10 +3,14 @@
 //
 // The reconstruction query needs "exactly k of the m signal variables are
 // true" (paper §4.2). A naive encoding needs C(m, k+1) + C(m, m-k+1)
-// clauses; the paper instead uses Sinz's sequential-counter encoding [20],
-// which introduces O(m·k) auxiliary variables and clauses. We implement
-// that, plus Bailleux–Boufkhad's totalizer as an ablation alternative.
+// clauses; the paper instead uses Sinz's sequential-counter encoding [20].
+// Ours builds one counter of m·k registers for every bound and adds about
+// 2·m·k clauses for at-most-k or at-least-k and 4·m·k for exactly-k.
+// Bailleux–Boufkhad's totalizer, capped at k+1 outputs, is the ablation
+// alternative and the incremental engine's counter: about m·log2(k)
+// variables and 2–5·m·k clauses.
 
+#include <cstddef>
 #include <vector>
 
 #include "sat/interface.hpp"
@@ -16,21 +20,22 @@ namespace tp::sat {
 
 /// Which CNF cardinality encoding to emit.
 enum class CardEncoding {
-  SequentialCounter,  ///< Sinz 2005 (the paper's choice, O(m·k))
-  Totalizer,          ///< Bailleux–Boufkhad 2003 (O(m·k·log m), better arc-consistency)
+  SequentialCounter,  ///< Sinz 2005 (the paper's choice, m·k registers)
+  Totalizer,          ///< Bailleux–Boufkhad 2003 (O(m·log k) variables, O(m·k) clauses)
 };
 
 /// Constrain at most k of `lits` to be true. Returns false iff the solver
-/// became unsatisfiable while adding the clauses.
-bool encode_at_most(SolverInterface& solver, const std::vector<Lit>& lits, int k,
+/// became unsatisfiable while adding the clauses. A bound of at least
+/// lits.size() adds nothing; at-least or exactly a bound above it is UNSAT.
+bool encode_at_most(SolverInterface& solver, const std::vector<Lit>& lits, std::size_t k,
                     CardEncoding enc = CardEncoding::SequentialCounter);
 
 /// Constrain at least k of `lits` to be true.
-bool encode_at_least(SolverInterface& solver, const std::vector<Lit>& lits, int k,
+bool encode_at_least(SolverInterface& solver, const std::vector<Lit>& lits, std::size_t k,
                      CardEncoding enc = CardEncoding::SequentialCounter);
 
 /// Constrain exactly k of `lits` to be true.
-bool encode_exactly(SolverInterface& solver, const std::vector<Lit>& lits, int k,
+bool encode_exactly(SolverInterface& solver, const std::vector<Lit>& lits, std::size_t k,
                     CardEncoding enc = CardEncoding::SequentialCounter);
 
 /// Build a totalizer over `lits` and return its unary output literals

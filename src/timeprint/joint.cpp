@@ -38,8 +38,7 @@ ReconstructionResult JointReconstructor::reconstruct(
     std::vector<Lit> lits;
     lits.reserve(m);
     for (Var v : rows.cycle_vars) lits.push_back(mk_lit(v));
-    sat::encode_exactly(solver, lits, static_cast<int>(entries[w].k),
-                        options.card_encoding);
+    sat::encode_exactly(solver, lits, entries[w].k, options.card_encoding);
   }
 
   // Span-wide properties.

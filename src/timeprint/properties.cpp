@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdint>
 
 namespace tp::core {
 
@@ -111,7 +112,7 @@ bool MinChangesBefore::encode(SolverInterface& solver, const std::vector<Var>& x
   std::vector<Lit> lits;
   lits.reserve(hi);
   for (std::size_t i = 0; i < hi; ++i) lits.push_back(mk_lit(x[i]));
-  return sat::encode_at_least(solver, lits, static_cast<int>(min_changes_), card_);
+  return sat::encode_at_least(solver, lits, min_changes_, card_);
 }
 
 std::unique_ptr<Property> MinChangesBefore::negation() const {
@@ -138,11 +139,14 @@ bool MaxChangesBefore::encode(SolverInterface& solver, const std::vector<Var>& x
   std::vector<Lit> lits;
   lits.reserve(hi);
   for (std::size_t i = 0; i < hi; ++i) lits.push_back(mk_lit(x[i]));
-  return sat::encode_at_most(solver, lits, static_cast<int>(max_changes_), card_);
+  return sat::encode_at_most(solver, lits, max_changes_, card_);
 }
 
 std::unique_ptr<Property> MaxChangesBefore::negation() const {
-  return std::make_unique<MinChangesBefore>(deadline_, max_changes_ + 1, card_);
+  // "At most SIZE_MAX" holds for every signal, so its negation holds for
+  // none: at least SIZE_MAX changes, which the encoding refutes outright.
+  const std::size_t more = max_changes_ == SIZE_MAX ? SIZE_MAX : max_changes_ + 1;
+  return std::make_unique<MinChangesBefore>(deadline_, more, card_);
 }
 
 std::string MaxChangesBefore::describe() const {
@@ -215,7 +219,7 @@ bool ExactlyKInWindow::encode(SolverInterface& solver, const std::vector<Var>& x
   const std::size_t hi = std::min(hi_, x.size());
   std::vector<Lit> lits;
   for (std::size_t i = lo_; i < hi; ++i) lits.push_back(mk_lit(x[i]));
-  return sat::encode_exactly(solver, lits, static_cast<int>(k_), card_);
+  return sat::encode_exactly(solver, lits, k_, card_);
 }
 
 std::string ExactlyKInWindow::describe() const {

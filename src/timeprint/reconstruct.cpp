@@ -79,8 +79,7 @@ bool encode_count_and_properties(SolverInterface& solver, const SrRows& rows,
   for (Var v : rows.cycle_vars) {
     if (v != kNoVar) lits.push_back(mk_lit(v));
   }
-  bool ok = sat::encode_exactly(solver, lits, static_cast<int>(k - rows.fixed_ones),
-                                options.card_encoding) &&
+  bool ok = sat::encode_exactly(solver, lits, k - rows.fixed_ones, options.card_encoding) &&
             rows.ok;
   for (const Property* p : properties) ok = p->encode(solver, rows.cycle_vars) && ok;
   return ok;

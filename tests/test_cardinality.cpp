@@ -63,7 +63,11 @@ INSTANTIATE_TEST_SUITE_P(
                       CardCase{8, 3, CardEncoding::SequentialCounter},
                       CardCase{8, 4, CardEncoding::SequentialCounter},
                       CardCase{10, 2, CardEncoding::SequentialCounter},
-                      CardCase{12, 6, CardEncoding::SequentialCounter}));
+                      CardCase{12, 6, CardEncoding::SequentialCounter},
+                      CardCase{9, 1, CardEncoding::SequentialCounter},
+                      CardCase{9, 8, CardEncoding::SequentialCounter},
+                      CardCase{12, 1, CardEncoding::SequentialCounter},
+                      CardCase{12, 11, CardEncoding::SequentialCounter}));
 
 INSTANTIATE_TEST_SUITE_P(
     Totalizer, ExactlyKTest,
@@ -120,7 +124,38 @@ INSTANTIATE_TEST_SUITE_P(
                       CardCase{6, 6, CardEncoding::SequentialCounter},
                       CardCase{6, 2, CardEncoding::Totalizer},
                       CardCase{6, 4, CardEncoding::Totalizer},
-                      CardCase{6, 6, CardEncoding::Totalizer}));
+                      CardCase{6, 6, CardEncoding::Totalizer},
+                      CardCase{9, 1, CardEncoding::SequentialCounter},
+                      CardCase{9, 8, CardEncoding::SequentialCounter},
+                      CardCase{12, 1, CardEncoding::SequentialCounter},
+                      CardCase{12, 11, CardEncoding::SequentialCounter}));
+
+TEST(Cardinality, SequentialCounterIsLinearInK) {
+  // One counter of n·k registers for every bound, with a constant number of
+  // clauses per register.
+  const char* const names[] = {"at-most", "at-least", "exactly"};
+  const auto encode = [](int bound, Solver& s, const std::vector<Lit>& lits, std::size_t k) {
+    if (bound == 0) return encode_at_most(s, lits, k, CardEncoding::SequentialCounter);
+    if (bound == 1) return encode_at_least(s, lits, k, CardEncoding::SequentialCounter);
+    return encode_exactly(s, lits, k, CardEncoding::SequentialCounter);
+  };
+  for (const int n : {16, 64, 200}) {
+    for (const int k : {1, 2, n / 2, n - 1}) {
+      for (int bound = 0; bound < 3; ++bound) {
+        Solver s;
+        const auto lits = pos_lits(make_vars(s, n));
+        const int vars_before = s.num_vars();
+        const std::size_t clauses_before = s.num_clauses();
+        ASSERT_TRUE(encode(bound, s, lits, static_cast<std::size_t>(k)));
+        const auto nk = static_cast<std::size_t>(n * k);
+        EXPECT_LE(static_cast<std::size_t>(s.num_vars() - vars_before), nk)
+            << names[bound] << " n=" << n << " k=" << k;
+        EXPECT_LE(s.num_clauses() - clauses_before, 5 * nk)
+            << names[bound] << " n=" << n << " k=" << k;
+      }
+    }
+  }
+}
 
 TEST(Cardinality, ImpossibleBoundsAreUnsat) {
   {
@@ -149,6 +184,22 @@ TEST(Cardinality, MixedPolarityLiterals) {
   for (const auto& m : result.models) {
     const int count = (m[0] ? 1 : 0) + (m[1] ? 0 : 1) + (m[2] ? 1 : 0);
     EXPECT_EQ(count, 2);
+  }
+}
+
+TEST(Cardinality, MixedPolarityAtLeast) {
+  // at-least-2 over {a, ~b, c, ~d}: 11 of the 16 assignments count >= 2.
+  Solver s;
+  auto vars = make_vars(s, 4);
+  std::vector<Lit> lits = {mk_lit(vars[0]), ~mk_lit(vars[1]), mk_lit(vars[2]),
+                           ~mk_lit(vars[3])};
+  ASSERT_TRUE(encode_at_least(s, lits, 2, CardEncoding::SequentialCounter));
+  auto result = enumerate_models(s, vars);
+  ASSERT_TRUE(result.complete());
+  EXPECT_EQ(result.models.size(), 11u);
+  for (const auto& m : result.models) {
+    const int count = (m[0] ? 1 : 0) + (m[1] ? 0 : 1) + (m[2] ? 1 : 0) + (m[3] ? 0 : 1);
+    EXPECT_GE(count, 2);
   }
 }
 

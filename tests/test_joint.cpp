@@ -96,6 +96,20 @@ TEST(Joint, InconsistentEntriesAreUnsat) {
   EXPECT_TRUE(jr.signals.empty());
 }
 
+TEST(Joint, ChangeCountAboveIntRangeIsNotTruncated) {
+  // A window's k = 2^32 + 3 must not be read as k = 3.
+  auto enc = TimestampEncoding::random_constrained(16, 9, 4, 3);
+  Logger logger(enc);
+  const LogEntry plain = logger.log(Signal::from_change_cycles(16, {2, 3, 9}));
+  JointReconstructor joint(enc);
+  ASSERT_FALSE(joint.reconstruct({plain}).signals.empty());
+  LogEntry wide = plain;
+  wide.k += std::size_t{1} << 32;
+  auto jr = joint.reconstruct({wide});
+  EXPECT_TRUE(jr.complete());
+  EXPECT_TRUE(jr.signals.empty());
+}
+
 TEST(Joint, ThreeWindows) {
   auto enc = TimestampEncoding::one_hot(6);  // unambiguous per window
   Logger logger(enc);

@@ -137,6 +137,17 @@ TEST(MaxChangesBefore, NegationRoundTrip) {
   }
 }
 
+TEST(MaxChangesBefore, UnboundedCountIsNotNarrowed) {
+  // No signal has more than SIZE_MAX changes: the property and its encoding
+  // accept every signal, and the negation accepts none.
+  MaxChangesBefore p(4, SIZE_MAX);
+  check_encoding_faithful(p, 6);
+  auto n = p.negation();
+  ASSERT_NE(n, nullptr);
+  check_encoding_faithful(*n, 6);
+  EXPECT_FALSE(n->holds(Signal::from_change_cycles(6, {0, 1, 2, 3})));
+}
+
 TEST(Windows, HoldsAndNegation) {
   ChangeInWindow in(3, 6);
   NoChangeInWindow none(3, 6);

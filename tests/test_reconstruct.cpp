@@ -138,6 +138,40 @@ TEST(Reconstruct, EmptyPreimageIsUnsat) {
   EXPECT_TRUE(result.signals.empty());
 }
 
+TEST(Reconstruct, ChangeCountAboveIntRangeIsNotTruncated) {
+  // k = 2^32 + 3 must not be read as k = 3: no 16-cycle signal has that
+  // many changes, so the preimage is empty and complete.
+  auto enc = fig4_encoding();
+  Logger logger(enc);
+  LogEntry entry = logger.log(Signal::from_change_cycles(16, {1, 6, 11}));
+  Reconstructor rec(enc);
+  ASSERT_FALSE(rec.reconstruct(entry).signals.empty());
+  entry.k += std::size_t{1} << 32;
+  const auto result = rec.reconstruct(entry);
+  EXPECT_TRUE(result.complete());
+  EXPECT_TRUE(result.signals.empty());
+}
+
+TEST(Reconstruct, UnboundedMaxChangesKeepsEveryPreimage) {
+  // "At most SIZE_MAX changes" holds for every signal, so it prunes none
+  // and no reconstruction violates it.
+  auto enc = fig4_encoding();
+  const Signal actual = Signal::from_change_cycles(16, {1, 6, 11});
+  const LogEntry entry = Logger(enc).log(actual);
+  Reconstructor plain(enc);
+  const auto expected = plain.reconstruct(entry);
+  ASSERT_TRUE(expected.complete());
+
+  MaxChangesBefore unbounded(16, SIZE_MAX);
+  Reconstructor rec(enc);
+  rec.add_property(unbounded);
+  const auto result = rec.reconstruct(entry);
+  ASSERT_TRUE(result.complete());
+  EXPECT_EQ(to_strings(result.signals), to_strings(expected.signals));
+  EXPECT_TRUE(to_strings(result.signals).contains(actual.to_string()));
+  EXPECT_EQ(plain.check_hypothesis(entry, unbounded).verdict, CheckVerdict::HoldsForAll);
+}
+
 TEST(Reconstruct, ZeroChangesHasUniqueEmptySolution) {
   auto enc = fig4_encoding();
   Reconstructor rec(enc);
