@@ -14,6 +14,12 @@
 // faster-but-wrong kernel. The m=128 rows are the acceptance point for
 // the bit-sliced path (>= 4x scalar).
 //
+// The encode_* rows time the other F2 kernel a deployment pays for once:
+// building random-constrained LI-4 timestamps (f2::LiChecker) at
+// perfbench's m = 256 and the paper's m = 1000 (§5.2.1) and m = 1024
+// (§5.2.2), b = 24. Their fingerprint hashes every timestamp word, so a
+// faster checker that picks different timestamps fails the baseline diff.
+//
 //   bench_f2 [--entries N] [--json out.json]
 
 #include <cstdint>
@@ -30,6 +36,7 @@
 #include "f2/echelon.hpp"
 #include "f2/matrix.hpp"
 #include "f2/reference.hpp"
+#include "timeprint/encoding.hpp"
 
 namespace {
 
@@ -82,6 +89,7 @@ int main(int argc, char** argv) {
 
   bench::JsonReport report("f2", argc, argv);
   report.config().set("entries", static_cast<std::uint64_t>(num_entries));
+  bench::record_host(report.config());
 
   const Config configs[] = {
       {"m64_b16", 64, 16},
@@ -163,6 +171,39 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "bench_f2: scalar/sliced mismatch in config %s\n",
                    cfg.name);
     }
+  }
+
+  struct EncodingConfig {
+    const char* name;
+    std::size_t m;
+    std::size_t b;
+    std::uint64_t seed;
+  };
+  const EncodingConfig encodings[] = {
+      {"encode_m256_b24", 256, 24, 2019},   // perfbench forensics and ingest
+      {"encode_m1000_b24", 1000, 24, 2019}, // bench_can_experiment
+      {"encode_m1024_b24", 1024, 24, 7},    // bench_refresh_experiment
+  };
+  std::printf("\n%-18s %6s %4s %12s %18s\n", "config", "m", "b", "seconds",
+              "fingerprint");
+  for (const EncodingConfig& cfg : encodings) {
+    const auto t0 = Clock::now();
+    const auto enc = core::TimestampEncoding::random_constrained(cfg.m, cfg.b, 4, cfg.seed);
+    const double seconds = std::chrono::duration<double>(Clock::now() - t0).count();
+    Fnv fp;
+    for (const f2::BitVec& ts : enc.timestamps()) {
+      for (std::size_t w = 0; w < ts.num_words(); ++w) fp.add(ts.word(w));
+    }
+    std::printf("%-18s %6zu %4zu %12.4f %18s\n", cfg.name, cfg.m, cfg.b, seconds,
+                fp.hex().c_str());
+    report.add_row(obs::Json::object()
+                       .set("config", cfg.name)
+                       .set("m", static_cast<std::uint64_t>(cfg.m))
+                       .set("b", static_cast<std::uint64_t>(cfg.b))
+                       .set("depth", 4)
+                       .set("seed", cfg.seed)
+                       .set("seconds", seconds)
+                       .set("fingerprint", fp.hex()));
   }
 
   report.finish();

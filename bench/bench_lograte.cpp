@@ -17,9 +17,9 @@ using namespace tp;
 
 namespace {
 
-// Building a large LI-4 encoding takes tens of seconds (the m=1024, b=24
-// generation checks ~500k pairwise XORs per candidate tail); benchmark
-// functions are re-entered per repetition, so cache encodings across calls.
+// Building the m=1024, b=24 LI-4 encoding takes a few tenths of a second
+// (2.2M draws against ~500k pairwise XORs), and benchmark functions are
+// re-entered per repetition, so cache encodings across calls.
 const core::TimestampEncoding& cached_encoding(std::size_t m) {
   static std::map<std::size_t, core::TimestampEncoding> cache;
   auto it = cache.find(m);

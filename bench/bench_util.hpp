@@ -1,12 +1,15 @@
 #pragma once
 // bench_util.hpp — shared helpers for the paper-table benchmark binaries.
 
+#include <sched.h>
+
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/json.hpp"
@@ -55,6 +58,22 @@ inline core::Signal table_signal(std::size_t m, std::size_t k, f2::Rng& rng) {
   }
   while (s.num_changes() < k) s.set_change(rng.below(m));
   return s;
+}
+
+/// Record the host a report was measured on in its config: CPUs this
+/// process may run on (nproc), std::thread::hardware_concurrency, and the
+/// compiler and CMake build type the bench was built with (both defined by
+/// tp_add_bench in bench/CMakeLists.txt). Timings from reports whose
+/// identities differ are not comparable.
+inline void record_host(obs::Json& config) {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  const int nproc = sched_getaffinity(0, sizeof(set), &set) == 0 ? CPU_COUNT(&set) : 0;
+  config.set("nproc", static_cast<std::uint64_t>(nproc))
+      .set("hardware_concurrency",
+           static_cast<std::uint64_t>(std::thread::hardware_concurrency()))
+      .set("compiler", TP_BENCH_COMPILER)
+      .set("build_type", TP_BENCH_BUILD_TYPE);
 }
 
 /// Machine-readable output for a bench binary: every bench accepts

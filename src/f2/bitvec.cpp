@@ -45,6 +45,15 @@ BitVec BitVec::from_uint(std::size_t n, std::uint64_t value) {
   return v;
 }
 
+BitVec BitVec::from_words(std::size_t n, std::span<const std::uint64_t> words) {
+  BitVec v(n);
+  assert(words.size() == v.words_.size());
+  std::copy(words.begin(), words.end(), v.words_.begin());
+  assert(v.words_.empty() || n % kWordBits == 0 ||
+         (v.words_.back() >> (n % kWordBits)) == 0);
+  return v;
+}
+
 BitVec BitVec::from_string(std::string_view bits) {
   BitVec v(bits.size());
   for (std::size_t i = 0; i < bits.size(); ++i) {
@@ -57,9 +66,13 @@ BitVec BitVec::from_string(std::string_view bits) {
 
 BitVec BitVec::random(std::size_t n, Rng& rng) {
   BitVec v(n);
-  for (auto& w : v.words_) w = rng.next();
-  v.clear_tail();
+  v.randomize(rng);
   return v;
+}
+
+void BitVec::randomize(Rng& rng) {
+  for (auto& w : words_) w = rng.next();
+  clear_tail();
 }
 
 BitVec BitVec::unit(std::size_t n, std::size_t pos) {

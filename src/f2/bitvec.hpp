@@ -11,6 +11,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -52,12 +53,21 @@ class BitVec {
   /// when n < 64.
   static BitVec from_uint(std::size_t n, std::uint64_t value);
 
+  /// Vector of dimension n from its packed words (LSB-first, as words()
+  /// returns them): ceil(n / 64) words, bits at positions >= n zero.
+  static BitVec from_words(std::size_t n, std::span<const std::uint64_t> words);
+
   /// Parse an MSB-first string of '0'/'1' characters, e.g. "00010100".
   /// The string length gives the dimension.
   static BitVec from_string(std::string_view bits);
 
   /// Uniformly random vector of dimension n.
   static BitVec random(std::size_t n, Rng& rng);
+
+  /// Overwrite every coordinate with a uniformly random bit, drawing the
+  /// same Rng stream random() does: one next() per word, the tail masked.
+  /// Reuses the storage, so a draw loop allocates nothing.
+  void randomize(Rng& rng);
 
   /// One-hot vector of dimension n with coordinate `pos` set.
   static BitVec unit(std::size_t n, std::size_t pos);

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <cmath>
+#include <stdexcept>
+#include <string>
 
 namespace tp::f2 {
 
@@ -176,35 +179,172 @@ bool Matrix::linearly_independent(const std::vector<BitVec>& vectors) {
   return detail::row_reduce(rows, rows.front().size()).size() == vectors.size();
 }
 
-LiChecker::LiChecker(std::size_t dim, std::size_t depth)
-    : dim_(dim), depth_(depth) {
-  assert(depth >= 1 && depth <= 4);
+namespace {
+
+// Upper bound on the set's up-front allocation. A bitmap above it is never
+// chosen, and a table starts no larger and grows as keys actually arrive,
+// so a huge m from the command line cannot reserve memory it never fills.
+constexpr double kMaxReserveBytes = 64.0 * 1024 * 1024;
+
+// Fibonacci hashing: a table slot is the top bits of the product.
+constexpr std::uint64_t kFibonacci = 0x9e3779b97f4a7c15ULL;
+
+bool all_zero(const std::uint64_t* v, std::size_t words) {
+  return std::all_of(v, v + words, [](std::uint64_t w) { return w == 0; });
+}
+
+}  // namespace
+
+LiChecker::LiChecker(std::size_t dim, std::size_t depth, std::size_t expected)
+    : dim_(dim), depth_(depth), words_((dim + 63) / 64), probe_(words_) {
+  if (dim == 0) throw std::invalid_argument("LiChecker: dimension must be >= 1");
+  if (depth < 1 || depth > 4) {
+    throw std::invalid_argument("LiChecker: depth " + std::to_string(depth) +
+                                " not in [1, 4]");
+  }
+  if (depth < 2) return;  // depth 1 only rejects zero: no set
+  // Sizes in doubles: C(expected, 2) and 2^dim both overflow 64 bits.
+  const auto n = static_cast<double>(expected);
+  const double keys = depth >= 3 ? n + n * (n - 1) / 2 : n;
+  double wanted_slots = 16;
+  while (wanted_slots < 2 * keys) wanted_slots *= 2;
+  const double table_bytes = wanted_slots * 8 * static_cast<double>(words_);
+  if (dim < 64 && std::max(8.0, std::ldexp(1.0, static_cast<int>(dim)) / 8) <=
+                      std::min(table_bytes, kMaxReserveBytes)) {
+    // 2^dim / 8 <= 64 MiB, so dim <= 29 and the shift is in range.
+    bitmap_.assign(std::max<std::size_t>(1, (std::size_t{1} << dim) / 64), 0);
+    return;
+  }
+  std::size_t slots = 16;
+  while (static_cast<double>(slots) < wanted_slots &&
+         static_cast<double>(2 * slots * 8 * words_) <= kMaxReserveBytes) {
+    slots *= 2;
+  }
+  allocate_table(slots);
+}
+
+void LiChecker::allocate_table(std::size_t slots) {
+  table_.assign(slots * words_, 0);
+  slots_ = slots;
+  slot_shift_ = 64 - std::countr_zero(slots);
+}
+
+void LiChecker::grow() {
+  const std::vector<std::uint64_t> old = std::move(table_);
+  allocate_table(2 * slots_);
+  for (std::size_t i = 0; i < old.size(); i += words_) {
+    if (!all_zero(&old[i], words_)) {
+      std::copy_n(&old[i], words_, &table_[find_slot(&old[i]) * words_]);
+    }
+  }
+}
+
+std::size_t LiChecker::find_slot(const std::uint64_t* key) const {
+  std::uint64_t h = 0;
+  for (std::size_t w = 0; w < words_; ++w) h = (h ^ key[w]) * kFibonacci;
+  std::size_t s = h >> slot_shift_;
+  while (!std::equal(key, key + words_, &table_[s * words_]) &&
+         !all_zero(&table_[s * words_], words_)) {
+    s = (s + 1) & (slots_ - 1);
+  }
+  return s;
+}
+
+bool LiChecker::has_words(const std::uint64_t* key) const {
+  return !all_zero(&table_[find_slot(key) * words_], words_);
+}
+
+void LiChecker::insert_words(const std::uint64_t* key) {
+  if (2 * (keys_ + 1) > slots_) grow();  // keep the load <= 50 %
+  std::uint64_t* slot = &table_[find_slot(key) * words_];
+  if (all_zero(slot, words_)) {
+    std::copy_n(key, words_, slot);
+    ++keys_;
+  }
+}
+
+// One-word keys, the paper's widths, get probe loops of their own: through
+// the generic ones the paper-scale builds took several times as long.
+std::size_t LiChecker::find_word_slot(std::uint64_t key) const {
+  std::size_t s = (key * kFibonacci) >> slot_shift_;  // find_slot's hash
+  while (table_[s] != key && table_[s] != 0) s = (s + 1) & (slots_ - 1);
+  return s;
+}
+
+bool LiChecker::has_word(std::uint64_t key) const {
+  if (!bitmap_.empty()) return (bitmap_[key >> 6] >> (key & 63)) & 1;
+  return table_[find_word_slot(key)] != 0;
+}
+
+void LiChecker::insert_word(std::uint64_t key) {
+  if (!bitmap_.empty()) {
+    std::uint64_t& word = bitmap_[key >> 6];
+    const std::uint64_t bit = std::uint64_t{1} << (key & 63);
+    if ((word & bit) == 0) ++keys_;
+    word |= bit;
+    return;
+  }
+  if (2 * (keys_ + 1) > slots_) grow();
+  std::uint64_t& slot = table_[find_word_slot(key)];
+  if (slot == 0) {
+    slot = key;
+    ++keys_;
+  }
 }
 
 bool LiChecker::can_add(const BitVec& candidate) const {
   assert(candidate.size() == dim_);
-  if (candidate.is_zero()) return false;                       // depth 1
-  if (depth_ >= 2 && member_set_.contains(candidate)) return false;
-  if (depth_ >= 3 && pair_xors_.contains(candidate)) return false;
-  if (depth_ >= 4) {
-    // {v, a, b, c} dependent <=> v ^ a == b ^ c. A hit v ^ a == a ^ b would
-    // mean v == b which depth 2 already excluded, so the set test is exact.
-    for (const BitVec& a : members_) {
-      if (pair_xors_.contains(candidate ^ a)) return false;
-    }
+  const std::uint64_t* v = candidate.words().data();
+  if (candidate.is_zero()) return false;  // depth 1
+  if (depth_ < 2) return true;
+  // Step 1 rejects a member (depth 2) or, at depth >= 3, a pairwise XOR.
+  // Step 2, at depth 4: {v, a, b, c} dependent <=> v ^ a == b ^ c. A hit on
+  // a member b instead would mean v == a ^ b, and zero is never a key, so
+  // the test is exact.
+  if (words_ == 1) {
+    const std::uint64_t x = v[0];
+    if (has_word(x)) return false;
+    return depth_ < 4 || std::none_of(members_.begin(), members_.end(),
+                                      [&](std::uint64_t a) { return has_word(x ^ a); });
+  }
+  if (has_words(v)) return false;
+  if (depth_ < 4) return true;
+  for (std::size_t i = 0; i < members_.size(); i += words_) {
+    for (std::size_t w = 0; w < words_; ++w) probe_[w] = v[w] ^ members_[i + w];
+    if (has_words(probe_.data())) return false;
   }
   return true;
 }
 
 void LiChecker::add(const BitVec& v) {
-  assert(can_add(v));
-  // Each auxiliary set is maintained only at the depths whose can_add
-  // consults it; below that it would be pure O(|S|^2) ballast.
-  if (depth_ >= 3) {
-    for (const BitVec& a : members_) pair_xors_.insert(v ^ a);
+  assert(v.size() == dim_ && can_add(v));
+  const std::uint64_t* words = v.words().data();
+  // Pair XORs are only kept at the depths whose can_add consults them.
+  if (words_ == 1) {
+    if (depth_ >= 3) {
+      for (const std::uint64_t a : members_) insert_word(words[0] ^ a);
+    }
+    if (depth_ >= 2) insert_word(words[0]);
+  } else {
+    if (depth_ >= 3) {
+      for (std::size_t i = 0; i < members_.size(); i += words_) {
+        for (std::size_t w = 0; w < words_; ++w) probe_[w] = words[w] ^ members_[i + w];
+        insert_words(probe_.data());
+      }
+    }
+    if (depth_ >= 2) insert_words(words);
   }
-  members_.push_back(v);
-  if (depth_ >= 2) member_set_.insert(v);
+  members_.insert(members_.end(), v.words().begin(), v.words().end());
+}
+
+std::vector<BitVec> LiChecker::members() const {
+  std::vector<BitVec> out;
+  out.reserve(size());
+  for (std::size_t i = 0; i < members_.size(); i += words_) {
+    out.push_back(BitVec::from_words(
+        dim_, std::span<const std::uint64_t>(members_).subspan(i, words_)));
+  }
+  return out;
 }
 
 }  // namespace tp::f2

@@ -9,8 +9,8 @@
 // 2^(m - rank) elements. The SAT layer adds the cardinality constraint.
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
-#include <unordered_set>
 #include <vector>
 
 #include "f2/bitvec.hpp"
@@ -100,17 +100,31 @@ class Matrix {
 
 /// Incrementally maintained check that every subset of size <= depth of a
 /// growing set of vectors stays linearly independent ("LI-d" in the paper,
-/// §4.3). Supports depth 2..4. Equivalent characterisations used:
+/// §4.3). Supports depth 1..4. Equivalent characterisations used:
 ///   depth 1: no zero vector;
 ///   depth 2: all vectors distinct (and nonzero);
 ///   depth 3: v ∉ {a ^ b} for existing pairs;
 ///   depth 4: v ^ a ∉ {b ^ c}  (all pairwise XORs distinct).
-/// The pairwise-XOR set makes the depth-4 check O(|S|) per candidate
-/// instead of O(|S|^3).
+///
+/// Vectors are kept as their ceil(dim / 64) packed words. One flat set
+/// of packed keys holds the members (depth >= 2) and, at depth >= 3, their
+/// pairwise XORs, so every test above is a lookup in it: at depth 4 a hit
+/// of v ^ a on a member b would mean v == a ^ b, which the lookup of v
+/// itself already rejected. A depth-4 candidate costs O(|S|) lookups
+/// instead of O(|S|^3) rank tests. Zero is never a key.
+///
+/// Storage rule: a 2^dim-bit bitmap when that bitmap is no larger than the
+/// alternative (nor than 64 MiB); otherwise an open-addressing table with
+/// linear probing, sized for expected + C(expected, 2) keys (expected at
+/// depth 2) at <= 50 % load, up to the same 64 MiB, that doubles whenever
+/// more keys arrive than that.
 class LiChecker {
  public:
-  /// depth must be in [1, 4]; dim is the vector dimension b.
-  LiChecker(std::size_t dim, std::size_t depth);
+  /// dim is the vector dimension b (>= 1) and depth must be in [1, 4];
+  /// anything else throws std::invalid_argument. `expected` is the number
+  /// of vectors the caller means to add (0 if unknown); it only sizes the
+  /// set.
+  LiChecker(std::size_t dim, std::size_t depth, std::size_t expected = 0);
 
   /// True iff the current set plus `candidate` would still be LI-depth.
   bool can_add(const BitVec& candidate) const;
@@ -119,21 +133,43 @@ class LiChecker {
   void add(const BitVec& v);
 
   /// Number of vectors added so far.
-  std::size_t size() const { return members_.size(); }
+  std::size_t size() const { return members_.size() / words_; }
 
   /// The vectors added so far, in insertion order.
-  const std::vector<BitVec>& members() const { return members_; }
+  std::vector<BitVec> members() const;
 
-  /// Size of the pairwise-XOR set. Only depths >= 3 consult the set, so
-  /// lower depths keep it empty rather than paying its O(|S|^2) memory.
-  std::size_t pair_xor_count() const { return pair_xors_.size(); }
+  /// Number of distinct pairwise XORs held. Only depths >= 3 consult them,
+  /// so lower depths keep none rather than paying their O(|S|^2) memory.
+  std::size_t pair_xor_count() const { return depth_ >= 3 ? keys_ - size() : 0; }
+
+  /// True iff the storage rule chose the bitmap.
+  bool uses_bitmap() const { return !bitmap_.empty(); }
 
  private:
+  // Keys of any width live in the table; find_slot returns the slot that
+  // holds `key`, or the empty slot where it belongs. One-word keys take
+  // the bitmap or the table through the *_word functions.
+  void allocate_table(std::size_t slots);
+  void grow();  // double the table and rehash
+  std::size_t find_slot(const std::uint64_t* key) const;
+  bool has_words(const std::uint64_t* key) const;
+  void insert_words(const std::uint64_t* key);
+  std::size_t find_word_slot(std::uint64_t key) const;
+  bool has_word(std::uint64_t key) const;
+  void insert_word(std::uint64_t key);
+
   std::size_t dim_;
   std::size_t depth_;
-  std::vector<BitVec> members_;
-  std::unordered_set<BitVec> member_set_;
-  std::unordered_set<BitVec> pair_xors_;
+  std::size_t words_;
+  std::vector<std::uint64_t> members_;  // size() packed vectors
+  std::size_t keys_ = 0;                // distinct keys in the set
+  std::vector<std::uint64_t> bitmap_;   // 2^dim bits, or empty
+  std::vector<std::uint64_t> table_;    // slots_ packed keys; zero = empty
+  std::size_t slots_ = 0;               // a power of two
+  int slot_shift_ = 0;                  // 64 - log2(slots_)
+  // v ^ a for keys wider than one word, reused across calls: even const
+  // calls write it, so a checker must not be shared between threads.
+  mutable std::vector<std::uint64_t> probe_;
 };
 
 }  // namespace tp::f2

@@ -2,6 +2,8 @@
 
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 namespace tp::core {
 
@@ -40,13 +42,31 @@ TimestampEncoding TimestampEncoding::binary(std::size_t m) {
   return TimestampEncoding(std::move(ts), b, 1, EncodingScheme::Binary);
 }
 
+namespace {
+
+// The LI-d constructions need m >= 1 timestamps of width b >= 1 at a depth
+// the checker supports. Thrown in every build type: tpr passes
+// command-line values straight in.
+void check_li_args(const char* fn, std::size_t m, std::size_t b, std::size_t depth) {
+  const std::string where = std::string(fn) + ": ";
+  if (m == 0) throw std::invalid_argument(where + "m must be >= 1");
+  if (b == 0) throw std::invalid_argument(where + "width b must be >= 1");
+  if (depth < 1 || depth > 4) {
+    throw std::invalid_argument(where + "depth " + std::to_string(depth) +
+                                " not in [1, 4]");
+  }
+}
+
+}  // namespace
+
 TimestampEncoding TimestampEncoding::random_constrained(std::size_t m, std::size_t b,
                                                         std::size_t depth,
                                                         std::uint64_t seed,
                                                         std::uint64_t max_attempts) {
-  assert(m > 0 && b > 0 && depth >= 1 && depth <= 4);
+  check_li_args("random_constrained", m, b, depth);
   f2::Rng rng(seed);
-  f2::LiChecker li(b, depth);
+  f2::LiChecker li(b, depth, m);
+  f2::BitVec v(b);
   std::uint64_t attempts = 0;
   while (li.size() < m) {
     if (++attempts > max_attempts) {
@@ -55,7 +75,7 @@ TimestampEncoding TimestampEncoding::random_constrained(std::size_t m, std::size
           " too small for m=" + std::to_string(m) + " at depth " +
           std::to_string(depth));
     }
-    f2::BitVec v = f2::BitVec::random(b, rng);
+    v.randomize(rng);  // the draws of f2::BitVec::random(b, rng), in place
     if (li.can_add(v)) li.add(v);
   }
   return TimestampEncoding(li.members(), b, depth, EncodingScheme::RandomConstrained);
@@ -63,8 +83,8 @@ TimestampEncoding TimestampEncoding::random_constrained(std::size_t m, std::size
 
 TimestampEncoding TimestampEncoding::incremental(std::size_t m, std::size_t b,
                                                  std::size_t depth) {
-  assert(m > 0 && b > 0 && depth >= 1 && depth <= 4);
-  f2::LiChecker li(b, depth);
+  check_li_args("incremental", m, b, depth);
+  f2::LiChecker li(b, depth, m);
   f2::BitVec v(b);
   v.increment();  // start from 1 (the smallest nonzero value)
   while (li.size() < m) {
@@ -82,6 +102,7 @@ TimestampEncoding TimestampEncoding::incremental(std::size_t m, std::size_t b,
 
 TimestampEncoding TimestampEncoding::incremental_auto(std::size_t m,
                                                       std::size_t depth) {
+  check_li_args("incremental_auto", m, counter_bits(m), depth);
   for (std::size_t b = counter_bits(m);; ++b) {
     try {
       return incremental(m, b, depth);
@@ -94,6 +115,7 @@ TimestampEncoding TimestampEncoding::incremental_auto(std::size_t m,
 TimestampEncoding TimestampEncoding::random_constrained_auto(std::size_t m,
                                                              std::size_t depth,
                                                              std::uint64_t seed) {
+  check_li_args("random_constrained_auto", m, counter_bits(m), depth);
   for (std::size_t b = counter_bits(m);; ++b) {
     try {
       return random_constrained(m, b, depth, seed);
@@ -116,7 +138,7 @@ TimestampEncoding TimestampEncoding::from_vectors(std::vector<f2::BitVec> timest
 }
 
 bool TimestampEncoding::verify_li(std::size_t depth) const {
-  f2::LiChecker li(width_, depth);
+  f2::LiChecker li(width_, depth, m());
   for (const f2::BitVec& v : timestamps_) {
     if (!li.can_add(v)) return false;
     li.add(v);

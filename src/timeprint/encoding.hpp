@@ -52,7 +52,8 @@ class TimestampEncoding {
   /// Random-constrained LI-depth encoding with the given width. Draws
   /// random b-bit vectors and keeps those preserving LI-depth; throws
   /// std::runtime_error if m timestamps cannot be found within
-  /// `max_attempts` draws (width too small).
+  /// `max_attempts` draws (width too small), and std::invalid_argument
+  /// for m = 0, b = 0 or depth outside [1, 4].
   static TimestampEncoding random_constrained(std::size_t m, std::size_t b,
                                               std::size_t depth, std::uint64_t seed,
                                               std::uint64_t max_attempts = 1u << 22);
@@ -60,15 +61,18 @@ class TimestampEncoding {
   /// Incremental (lexicographic greedy) LI-depth encoding with the given
   /// width: starts from value 1 and increments, keeping each value that
   /// preserves LI-depth. Throws std::runtime_error if the b-bit space is
-  /// exhausted before m timestamps are found.
+  /// exhausted before m timestamps are found, and std::invalid_argument
+  /// for m = 0, b = 0 or depth outside [1, 4].
   static TimestampEncoding incremental(std::size_t m, std::size_t b,
                                        std::size_t depth);
 
   /// Smallest width for which the incremental construction reaches m
-  /// timestamps (tries growing b until success).
+  /// timestamps (tries growing b until success). Throws
+  /// std::invalid_argument for m = 0 or depth outside [1, 4].
   static TimestampEncoding incremental_auto(std::size_t m, std::size_t depth);
 
-  /// Grows b until the random-constrained construction succeeds.
+  /// Grows b until the random-constrained construction succeeds. Throws
+  /// std::invalid_argument for m = 0 or depth outside [1, 4].
   static TimestampEncoding random_constrained_auto(std::size_t m, std::size_t depth,
                                                    std::uint64_t seed);
 
@@ -84,7 +88,9 @@ class TimestampEncoding {
   /// Timestamp width b.
   std::size_t width() const { return width_; }
 
-  /// LI depth the construction guaranteed (0 for Binary: only nonzero).
+  /// LI depth the construction guaranteed: m for OneHot, 1 for Binary
+  /// (nonzero only), the requested depth for the LI-d constructions and
+  /// the caller's claim for from_vectors().
   std::size_t depth() const { return depth_; }
 
   /// The construction scheme.
@@ -99,8 +105,11 @@ class TimestampEncoding {
   /// The matrix A = [TS(1) | ... | TS(m)] of the reconstruction problem.
   f2::Matrix to_matrix() const { return f2::Matrix::from_columns(timestamps_); }
 
-  /// Exhaustively re-verify that every subset of size <= depth is linearly
-  /// independent (test support; O(m) with the pairwise-XOR trick).
+  /// Re-verify that every subset of size <= depth is linearly independent
+  /// by replaying the timestamps through f2::LiChecker: O(m) lookups per
+  /// timestamp, and at depth >= 3 it inserts all C(m, 2) pairwise XORs.
+  /// encoding_stats() and the examples call it, not only tests. Throws
+  /// std::invalid_argument for depth outside [1, 4] or a zero width.
   bool verify_li(std::size_t depth) const;
 
   /// Bits logged per trace-cycle: b for the timeprint plus ceil(log2(m+1))

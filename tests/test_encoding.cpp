@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <stdexcept>
 #include <unordered_set>
 
 #include "f2/matrix.hpp"
@@ -109,6 +111,144 @@ TEST(Encoding, VerifyLiDetectsViolation) {
   auto enc = TimestampEncoding::binary(7);
   EXPECT_TRUE(enc.verify_li(2));   // all distinct and nonzero
   EXPECT_FALSE(enc.verify_li(3));  // 3 = 1 XOR 2
+}
+
+// The LI-d constructions take (m, b, depth) from callers such as tpr's
+// command line, so each out-of-range value throws in every build type
+// rather than slipping past a compiled-out assert.
+TEST(Encoding, RejectsDepthOutsideOneToFour) {
+  for (std::size_t depth : {std::size_t{0}, std::size_t{5}, std::size_t{9}}) {
+    EXPECT_THROW(TimestampEncoding::random_constrained(4, 8, depth, 1),
+                 std::invalid_argument);
+    EXPECT_THROW(TimestampEncoding::incremental(4, 8, depth), std::invalid_argument);
+    EXPECT_THROW(TimestampEncoding::random_constrained_auto(4, depth, 1),
+                 std::invalid_argument);
+    EXPECT_THROW(TimestampEncoding::incremental_auto(4, depth), std::invalid_argument);
+  }
+}
+
+TEST(Encoding, RejectsZeroLength) {
+  EXPECT_THROW(TimestampEncoding::random_constrained(0, 8, 4, 1), std::invalid_argument);
+  EXPECT_THROW(TimestampEncoding::incremental(0, 8, 4), std::invalid_argument);
+  EXPECT_THROW(TimestampEncoding::random_constrained_auto(0, 4, 1), std::invalid_argument);
+  EXPECT_THROW(TimestampEncoding::incremental_auto(0, 4), std::invalid_argument);
+}
+
+TEST(Encoding, RejectsZeroWidth) {
+  EXPECT_THROW(TimestampEncoding::random_constrained(3, 0, 4, 1), std::invalid_argument);
+  EXPECT_THROW(TimestampEncoding::incremental(3, 0, 4), std::invalid_argument);
+}
+
+// FNV-1a over every timestamp word, in cycle order.
+std::uint64_t fingerprint(const TimestampEncoding& enc) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const f2::BitVec& ts : enc.timestamps()) {
+    for (std::size_t w = 0; w < ts.num_words(); ++w) {
+      for (int byte = 0; byte < 8; ++byte) {
+        h = (h ^ ((ts.word(w) >> (8 * byte)) & 0xff)) * 0x100000001b3ULL;
+      }
+    }
+  }
+  return h;
+}
+
+// The encodings that perfbench, the benches, the examples and the tests
+// build, pinned to fingerprints recorded from the construction before its
+// LI checker was word-packed: the checker may change how fast timestamps
+// are found, never which ones.
+struct PinnedEncoding {
+  std::size_t m, b, depth;
+  std::uint64_t seed;
+  std::uint64_t fingerprint;
+};
+
+TEST(Encoding, RandomConstrainedTimestampsArePinned) {
+  const PinnedEncoding pins[] = {
+      {256, 24, 4, 2019, 0x017a598c176eff29ULL},  // perfbench forensics, ingest
+      {64, 16, 4, 11, 0xea5e0bf311d95ff5ULL},     // perfbench stream_decode
+      {48, 12, 4, 7, 0xce008597e025da94ULL},      // perfbench wide_preimage
+      {32, 12, 4, 17, 0x16bb272245e70534ULL},     // perfbench self-test
+      {200, 20, 4, 5, 0x41daf61309f7079aULL},     // perfbench self-test
+      {2, 70, 4, 1, 0x82cbedcb8b334d06ULL},       // two words per timestamp
+      {64, 72, 4, 42, 0xda2b45dec641dbd8ULL},     // bench_incremental m64_b72_det
+      {130, 80, 4, 6, 0x8abdc5d678c97d1eULL},
+      {3, 128, 3, 2, 0xbfb3a6f3ecab640cULL},
+      {32, 12, 4, 42, 0xd1e9e50eed2bb036ULL},     // paper widths, seed 42:
+      {64, 13, 4, 42, 0xe94538e24acf0f2aULL},     //   Table 1/2, ablations,
+      {96, 15, 4, 42, 0x292158423850529dULL},     //   bench_solver
+      {128, 16, 4, 42, 0xb534ba77a60ab48aULL},
+      {512, 22, 4, 42, 0x97c98a470b6ef582ULL},
+      {64, 16, 4, 42, 0x029a47e986e3afebULL},     // bench_incremental
+      {96, 16, 4, 42, 0xbad2f6dcce697801ULL},
+      {64, 15, 4, 42, 0xe12ed50a69b3cf23ULL},     // bench_ablation_depth widths
+      {64, 17, 4, 42, 0x24bcb9550ed88386ULL},
+      {64, 20, 4, 42, 0xef2332706bd935c8ULL},
+      {64, 24, 4, 42, 0xaffdab5781c30b85ULL},
+      {64, 13, 4, 99, 0x49713b7c196a7d16ULL},     // examples/deadline_audit
+      {32, 12, 4, 11, 0x3b0f139927542e1eULL},     // examples/lifecycle
+      {64, 13, 4, 1, 0x53fae0a9c7a3d763ULL},      // tests
+      {256, 20, 4, 5, 0xa0b810f9c7efe780ULL},
+      {32, 12, 4, 7, 0x4076ed8089f1bc4cULL},
+      {16, 10, 4, 11, 0x6262ad2d37589d69ULL},
+      {64, 13, 4, 23, 0x31a14f74707645d6ULL},
+      {12, 8, 4, 4, 0x3542add359fbb3d5ULL},
+      {24, 12, 4, 8, 0xceac45c55cb5f2bfULL},
+      {18, 9, 4, 42, 0x17b9f16acfd42dd0ULL},
+      {32, 16, 4, 7, 0x7db034d88d44aab2ULL},
+      {16, 9, 4, 3, 0x823523094c9de88dULL},
+      {12, 8, 4, 5, 0x4aae7b1b6b3f5bf5ULL},
+      {24, 14, 3, 5, 0x04b930424e7bd002ULL},      // shallower depths
+      {40, 16, 2, 9, 0x2f5ade46757fc657ULL},
+      {9, 5, 1, 3, 0x37157652013a3b0aULL},
+  };
+  for (const PinnedEncoding& p : pins) {
+    const auto enc = TimestampEncoding::random_constrained(p.m, p.b, p.depth, p.seed);
+    EXPECT_EQ(fingerprint(enc), p.fingerprint)
+        << "random_constrained(" << p.m << ", " << p.b << ", " << p.depth << ", "
+        << p.seed << ")";
+  }
+  // random_constrained_auto exhausts max_attempts at every width below the
+  // one it returns, so these pin the failing widths' draws as well.
+  EXPECT_EQ(fingerprint(TimestampEncoding::random_constrained_auto(48, 4, 42)),
+            0x935f2f5a5ed5f5d0ULL);  // bench_parallel
+  EXPECT_EQ(fingerprint(TimestampEncoding::random_constrained_auto(12, 3, 7)),
+            0x5b26fe41b38ca61cULL);  // tests
+}
+
+// The paper's sizes: §5.2.1 (m = 1000), §5.2.2 and Tables 1/2 (m = 1024).
+TEST(Encoding, PaperScaleTimestampsArePinned) {
+  const PinnedEncoding pins[] = {
+      {1000, 24, 4, 2019, 0xe1975048296cf14eULL},  // bench_can_experiment
+      {1000, 24, 4, 3, 0xeffa2285b75d6766ULL},     // BitsPerTraceCycleAndLogRate
+      {1024, 24, 4, 7, 0x3a727324bea901c7ULL},     // bench_refresh_experiment
+      {1024, 24, 4, 42, 0xc0a7f7a13581743cULL},    // Table 1/2, bench_lograte
+  };
+  for (const PinnedEncoding& p : pins) {
+    const auto enc = TimestampEncoding::random_constrained(p.m, p.b, p.depth, p.seed);
+    EXPECT_EQ(fingerprint(enc), p.fingerprint)
+        << "random_constrained(" << p.m << ", " << p.b << ", " << p.depth << ", "
+        << p.seed << ")";
+  }
+  const auto inc512 = TimestampEncoding::incremental_auto(512, 4);  // Table 2
+  EXPECT_EQ(inc512.width(), 21u);
+  EXPECT_EQ(fingerprint(inc512), 0x08fe75edb103dcafULL);
+}
+
+TEST(Encoding, IncrementalTimestampsArePinned) {
+  EXPECT_EQ(fingerprint(TimestampEncoding::incremental(16, 10, 4)), 0xfa1d01ae64809112ULL);
+  EXPECT_EQ(fingerprint(TimestampEncoding::incremental(7, 3, 2)), 0x811884334c344c85ULL);
+  EXPECT_EQ(fingerprint(TimestampEncoding::incremental(40, 70, 4)), 0xa79aa3f95445465dULL);
+  EXPECT_EQ(fingerprint(TimestampEncoding::incremental(128, 20, 4)), 0xe6058785dc80b123ULL);
+  EXPECT_EQ(fingerprint(TimestampEncoding::incremental(20, 12, 3)), 0x97123bd32b0f0085ULL);
+  const std::uint64_t auto64[] = {0xa3944b579aa7bd65ULL, 0xa3944b579aa7bd65ULL,
+                                  0xfa437c0933567525ULL, 0x137b72b66ec20462ULL};
+  for (std::size_t depth = 1; depth <= 4; ++depth) {  // bench_ablation_depth
+    EXPECT_EQ(fingerprint(TimestampEncoding::incremental_auto(64, depth)),
+              auto64[depth - 1])
+        << "incremental_auto(64, " << depth << ")";
+  }
+  EXPECT_EQ(fingerprint(TimestampEncoding::incremental_auto(32, 2)), 0x68dd9f773b4eaf45ULL);
+  EXPECT_EQ(fingerprint(TimestampEncoding::incremental_auto(32, 4)), 0x1477e4c365e3f769ULL);
 }
 
 TEST(Encoding, BitsPerTraceCycleAndLogRate) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <stdexcept>
+#include <vector>
+
 #include "f2/matrix.hpp"
 
 namespace tp::f2 {
@@ -187,9 +191,57 @@ TEST(LiChecker, Depth4RejectsTripleSum) {
   EXPECT_TRUE(li3.can_add(a ^ b ^ c));
 }
 
-// Regression: the pair-XOR exclusion set only serves depth >= 3 queries
-// (and member_set_ only depth >= 2), so shallow checkers must not grow
-// the quadratic set at all.
+// The depth and dimension come from callers such as tpr's command line, so
+// the range checks must hold in every build type, not only under assert.
+TEST(LiChecker, RejectsInvalidArguments) {
+  EXPECT_THROW(LiChecker(0, 4), std::invalid_argument);
+  EXPECT_THROW(LiChecker(8, 0), std::invalid_argument);
+  EXPECT_THROW(LiChecker(8, 5), std::invalid_argument);
+  EXPECT_NO_THROW(LiChecker(1, 1));
+}
+
+// The bitmap is taken only while 2^dim bits are no larger than the table
+// the announced size needs (and at most 64 MiB): never at 64 bits or more,
+// where 2^dim does not fit a shift.
+TEST(LiChecker, StorageRuleTakesTheSmallerSet) {
+  EXPECT_TRUE(LiChecker(10, 4).uses_bitmap());
+  EXPECT_TRUE(LiChecker(24, 4, 1000).uses_bitmap());    // 2 MiB vs an 8 MiB table
+  EXPECT_FALSE(LiChecker(24, 4, 256).uses_bitmap());    // a 1 MiB table vs 2 MiB
+  EXPECT_FALSE(LiChecker(24, 2, 1000).uses_bitmap());   // members only: 16 KiB
+  EXPECT_FALSE(LiChecker(24, 1, 1000).uses_bitmap());   // depth 1 keeps no set
+  EXPECT_FALSE(LiChecker(63, 4, 100).uses_bitmap());
+  EXPECT_FALSE(LiChecker(64, 4, 100).uses_bitmap());
+  EXPECT_FALSE(LiChecker(70, 4, 100).uses_bitmap());
+  // An absurd announced size reserves a bounded table, not C(m, 2) slots.
+  EXPECT_NO_THROW(LiChecker(40, 4, SIZE_MAX));
+}
+
+// A caller may add more vectors than it announced: the table doubles and
+// the verdicts stay those of a checker sized for the full set.
+TEST(LiChecker, TableGrowsPastTheAnnouncedSize) {
+  for (std::size_t dim : {std::size_t{24}, std::size_t{70}}) {
+    LiChecker sized(dim, 4, 200);
+    LiChecker grown(dim, 4, 1);
+    ASSERT_FALSE(sized.uses_bitmap());
+    ASSERT_FALSE(grown.uses_bitmap());
+    Rng rng(31 + dim);
+    while (sized.size() < 200) {
+      const BitVec v = BitVec::random(dim, rng);
+      ASSERT_EQ(sized.can_add(v), grown.can_add(v)) << "dim " << dim;
+      if (sized.can_add(v)) {
+        sized.add(v);
+        grown.add(v);
+      }
+    }
+    EXPECT_EQ(sized.members(), grown.members());
+    EXPECT_EQ(grown.pair_xor_count(), sized.pair_xor_count());
+    EXPECT_EQ(grown.pair_xor_count(), 200u * 199u / 2u) << "dim " << dim;
+  }
+}
+
+// Regression: the pair-XOR keys only serve depth >= 3 queries (and the
+// member keys only depth >= 2), so shallow checkers must not grow the
+// quadratic set at all.
 TEST(LiChecker, ShallowDepthsSkipPairXorBookkeeping) {
   for (std::size_t depth : {std::size_t{1}, std::size_t{2}}) {
     LiChecker li(24, depth);
@@ -236,6 +288,67 @@ TEST_P(LiCheckerPropertyTest, AllSmallSubsetsIndependent) {
     }
     EXPECT_TRUE(Matrix::linearly_independent(subset))
         << "dependent subset mask=" << mask << " at depth " << depth;
+  }
+}
+
+// Property: the checker rejects a candidate exactly when Gaussian rank
+// finds a dependent subset of size <= d through it, i.e. the candidate
+// plus some <= d - 1 members. Candidates are zero, the XORs of 1-3
+// members (at 64 and 70 bits nothing else is ever rejected) and random
+// vectors. The dimensions straddle the storage rule: a bitmap at 10 bits,
+// a table at 24, 64 (no 2^64-bit bitmap) and 70 (two words per key).
+TEST_P(LiCheckerPropertyTest, RejectedCandidatesCloseDependentSubsets) {
+  const std::size_t depth = GetParam();
+  constexpr std::size_t kMembers = 10;
+  for (std::size_t dim : {std::size_t{10}, std::size_t{24}, std::size_t{64},
+                          std::size_t{70}}) {
+    Rng rng(depth * 131 + dim);
+    LiChecker li(dim, depth, kMembers);
+    EXPECT_EQ(li.uses_bitmap(), depth >= 2 && dim == 10) << "dim " << dim;
+    while (li.size() < kMembers) {
+      const BitVec v = BitVec::random(dim, rng);
+      if (li.can_add(v)) li.add(v);
+    }
+    const std::vector<BitVec> members = li.members();
+
+    // Every subset of at most three members, the empty one included.
+    std::vector<std::vector<std::size_t>> subsets = {{}};
+    for (std::size_t i = 0; i < kMembers; ++i) {
+      subsets.push_back({i});
+      for (std::size_t j = i + 1; j < kMembers; ++j) {
+        subsets.push_back({i, j});
+        for (std::size_t k = j + 1; k < kMembers; ++k) subsets.push_back({i, j, k});
+      }
+    }
+    std::vector<BitVec> candidates = {BitVec(dim)};
+    for (const auto& subset : subsets) {
+      if (subset.empty()) continue;
+      BitVec x(dim);
+      for (std::size_t i : subset) x ^= members[i];
+      candidates.push_back(x);
+    }
+    for (int r = 0; r < 20; ++r) candidates.push_back(BitVec::random(dim, rng));
+
+    std::size_t rejected = 0;
+    for (const BitVec& c : candidates) {
+      bool dependent = false;
+      for (const auto& subset : subsets) {
+        if (subset.size() + 1 > depth) continue;
+        std::vector<BitVec> vectors = {c};
+        for (std::size_t i : subset) vectors.push_back(members[i]);
+        if (!Matrix::linearly_independent(vectors)) {
+          dependent = true;
+          break;
+        }
+      }
+      const bool accepted = li.can_add(c);
+      EXPECT_EQ(accepted, !dependent)
+          << "dim " << dim << " depth " << depth << " candidate " << c.to_string();
+      if (!accepted) ++rejected;
+    }
+    // Zero plus every XOR of s < depth members is rejected.
+    const std::size_t at_least = depth == 1 ? 1 : depth == 2 ? 11 : depth == 3 ? 56 : 176;
+    EXPECT_GE(rejected, at_least) << "dim " << dim;
   }
 }
 
