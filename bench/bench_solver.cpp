@@ -16,6 +16,11 @@
 //    is infeasible; their returned set legitimately depends on search
 //    order, so they carry no fingerprint.
 //
+// A complete row may name a twin it decodes the same entries as with a
+// different XOR engine (m64_k3_gauss is m64_k3_plain on the Gaussian
+// engine); its fingerprint must equal the twin's, and the binary exits
+// non-zero on a mismatch, so every run checks a Gauss answer.
+//
 //   bench_solver [--entries N] [--json out.json] [--preprocess MODE]
 //
 // --preprocess selects the CNF front-end axis (sat/preprocess.hpp):
@@ -36,6 +41,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -57,6 +63,7 @@ struct Config {
   bool use_gauss;        // Gaussian XOR engine vs watched-XOR propagation
   std::uint64_t max_solutions;  // UINT64_MAX = complete enumeration
   std::size_t entries;          // stream length at --entries 100 (scaled)
+  const char* same_answers_as = nullptr;  // earlier complete row, same entries
 };
 
 /// FNV-1a over a string, accumulated across entries.
@@ -118,11 +125,14 @@ int main(int argc, char** argv) {
   // Part of the identity for the same reason: a preprocess-on run must
   // never be ratio-diffed against a preprocess-off baseline row-for-row.
   report.config().set("preprocess", preprocess_mode);
+  bench::record_host(report.config());
 
-  // Table-1 shapes (m = 64, 128 with the paper widths, k = 3..8) plus a
-  // Table-2-style large-m first-solutions row on the Gaussian engine.
+  // Table-1 shapes (m = 64, 128 with the paper widths, k = 3..8), a
+  // complete Gaussian twin of the first, and a Table-2-style large-m
+  // first-solutions row on the Gaussian engine.
   const Config configs[] = {
       {"m64_k3_plain", 64, 3, false, false, UINT64_MAX, 20},
+      {"m64_k3_gauss", 64, 3, false, true, UINT64_MAX, 20, "m64_k3_plain"},
       {"m64_k4_plain", 64, 4, false, false, UINT64_MAX, 4},
       {"m64_k4_props", 64, 4, true, false, UINT64_MAX, 6},
       {"m128_k3_plain", 128, 3, false, false, UINT64_MAX, 2},
@@ -135,6 +145,7 @@ int main(int argc, char** argv) {
 
   bool all_complete_ok = true;
   bool fingerprints_ok = true;
+  std::map<std::string, std::string> raw_fps;  // complete row -> fingerprint
   for (const Config& cfg : configs) {
     const std::size_t n_entries =
         std::max<std::size_t>(1, cfg.entries * entry_scale / 100);
@@ -229,6 +240,16 @@ int main(int argc, char** argv) {
       if (complete_row) {
         if (!preprocess) {
           raw_fp = fp;
+          raw_fps[cfg.name] = fp;
+          if (cfg.same_answers_as != nullptr &&
+              raw_fps[cfg.same_answers_as] != raw_fp) {
+            std::fprintf(stderr,
+                         "bench_solver: %s fingerprint %s differs from %s's %s — "
+                         "the XOR engines disagree on the preimage\n",
+                         row_name.c_str(), fp, cfg.same_answers_as,
+                         raw_fps[cfg.same_answers_as].c_str());
+            fingerprints_ok = false;
+          }
         } else if (!raw_fp.empty() && raw_fp != fp) {
           std::fprintf(stderr,
                        "bench_solver: %s fingerprint %s differs from raw %s — "

@@ -5,6 +5,8 @@
 #include <unordered_set>
 #include <vector>
 
+#include "f2/bitvec.hpp"
+#include "f2/reference.hpp"
 #include "sat/drat.hpp"
 #include "sat/solver.hpp"
 
@@ -53,7 +55,10 @@ void Auditor::checkpoint(const Solver& solver, AuditPoint point) {
 
 void Auditor::audit(const Solver& solver, AuditPoint point) {
   runs_.fetch_add(1, std::memory_order_relaxed);
-  if (opts_.check_trail) check_trail(solver, point);
+  if (opts_.check_trail) {
+    check_trail(solver, point);
+    check_gauss(solver, point);
+  }
   if (opts_.check_watches) check_watches(solver, point);
   if (opts_.check_arena) check_arena(solver, point);
   if (opts_.check_xor_watches) check_xor_watches(solver, point);
@@ -110,6 +115,84 @@ void Auditor::check_trail(const Solver& s, AuditPoint p) const {
     if (a != LBool::Undef) ++assigned;
   }
   if (assigned != n) fail(p, "assigned variables not in bijection with the trail");
+}
+
+void Auditor::check_gauss(const Solver& s, AuditPoint p) const {
+  const Solver::Gauss& g = s.gauss_;
+  // The column bitmaps and the unassigned count, against a fresh scan.
+  std::vector<std::uint64_t> assigned(g.words, 0);
+  std::vector<std::uint64_t> values(g.words, 0);
+  std::size_t unassigned = 0;
+  for (std::size_t c = 0; c < g.cols.size(); ++c) {
+    const auto v = static_cast<std::size_t>(g.cols[c]);
+    if (v >= s.assigns_.size() || g.col_of[v] != static_cast<std::int32_t>(c)) {
+      fail(p, "Gauss column and variable indices disagree");
+    }
+    const std::uint64_t bit = std::uint64_t{1} << (c % 64);
+    if (s.assigns_[v] == LBool::Undef) {
+      ++unassigned;
+    } else {
+      assigned[c / 64] |= bit;
+      if (s.assigns_[v] == LBool::True) values[c / 64] |= bit;
+    }
+  }
+  if (assigned != g.assigned || values != g.values || unassigned != g.unassigned) {
+    fail(p, "Gauss column bitmaps disagree with the assignment");
+  }
+
+  // Every Gauss-implied literal above level 0 materializes a reason that
+  // starts with the literal; the rest are false and earlier on the trail.
+  // Its columns, with the parity of their values, must also be a
+  // combination of the rows [mask | rhs], which the scalar reference
+  // kernel reduces once per sweep.
+  const std::size_t ncols = g.cols.size();
+  std::vector<f2::BitVec> rows;
+  std::vector<std::size_t> pivots;
+  std::vector<std::size_t> pos(s.assigns_.size(), SIZE_MAX);
+  std::vector<Lit> reason;
+  for (std::size_t i = 0; i < s.trail_.size(); ++i) {
+    const Lit l = s.trail_[i];
+    const auto v = static_cast<std::size_t>(l.var());
+    pos[v] = i;
+    const Solver::Reason r = s.vardata_[v].reason;
+    if (r.kind != Solver::Reason::Kind::Gauss || s.vardata_[v].level == 0) continue;
+    s.reason_literals(l, r, reason);
+    if (reason.empty() || reason[0] != l) {
+      fail(p, "Gauss reason does not start with the implied literal");
+    }
+    for (std::size_t j = 1; j < reason.size(); ++j) {
+      const auto q = static_cast<std::size_t>(reason[j].var());
+      if (s.value(reason[j]) != LBool::False || pos[q] >= i) {
+        fail(p, "Gauss reason literal not false earlier on the trail");
+      }
+    }
+    if (rows.empty()) {
+      for (std::size_t row = 0; row < g.rhs.size(); ++row) {
+        f2::BitVec full(ncols + 1);
+        for (std::size_t c = 0; c < ncols; ++c) {
+          if (((g.masks[row * g.words + c / 64] >> (c % 64)) & 1) != 0) full.set(c, true);
+        }
+        full.set(ncols, g.rhs[row] != 0);
+        rows.push_back(std::move(full));
+      }
+      pivots = f2::reference::row_reduce(rows);
+    }
+    f2::BitVec combination(ncols + 1);
+    bool parity = false;
+    for (const Lit q : reason) {
+      const std::int32_t c = g.col_of[static_cast<std::size_t>(q.var())];
+      if (c < 0) fail(p, "Gauss reason literal outside the Gauss columns");
+      combination.set(static_cast<std::size_t>(c), true);
+      parity = parity != (s.value(q.var()) == LBool::True);
+    }
+    combination.set(ncols, parity);
+    for (std::size_t k = 0; k < pivots.size(); ++k) {
+      if (combination.get(pivots[k])) combination ^= rows[k];
+    }
+    if (!combination.is_zero()) {
+      fail(p, "Gauss reason is not a combination of the rows");
+    }
+  }
 }
 
 void Auditor::check_watches(const Solver& s, AuditPoint p) const {
@@ -311,6 +394,40 @@ void Auditor::check_fixpoint(const Solver& s, AuditPoint p) const {
       fail(p, "XOR constraint violated at a propagation fixpoint");
     }
     if (unassigned == 1) fail(p, "unit XOR constraint unpropagated at a fixpoint");
+  }
+
+  // Gauss rows, when the gate admitted this fixpoint: the residual system
+  // (unassigned columns plus the residual parity as a last column) is
+  // reduced by the scalar reference kernel, which shares no code with the
+  // solver's packed one. No reduced row may be unit or violated.
+  const Solver::Gauss& g = s.gauss_;
+  if (g.dirty || g.rhs.empty() || g.unassigned > s.gauss_gate()) return;
+  const std::size_t ncols = g.cols.size();
+  std::vector<f2::BitVec> rows;
+  rows.reserve(g.rhs.size());
+  for (std::size_t r = 0; r < g.rhs.size(); ++r) {
+    f2::BitVec row(ncols + 1);
+    bool parity = g.rhs[r] != 0;
+    for (std::size_t c = 0; c < ncols; ++c) {
+      if (((g.masks[r * g.words + c / 64] >> (c % 64)) & 1) == 0) continue;
+      const LBool a = s.value(g.cols[c]);
+      if (a == LBool::Undef) {
+        row.set(c, true);
+      } else if (a == LBool::True) {
+        parity = !parity;
+      }
+    }
+    row.set(ncols, parity);
+    rows.push_back(std::move(row));
+  }
+  f2::reference::row_reduce(rows);
+  for (const f2::BitVec& row : rows) {
+    std::size_t residual = row.popcount();
+    if (row.get(ncols)) --residual;
+    if (residual == 0 && row.get(ncols)) {
+      fail(p, "Gauss row combination violated at a propagation fixpoint");
+    }
+    if (residual == 1) fail(p, "unit Gauss row combination unpropagated at a fixpoint");
   }
 }
 

@@ -27,9 +27,17 @@
 //    assigned to the matching value at the level of its trail segment,
 //    every assigned variable appears on the trail exactly once, decisions
 //    carry no reason, and implied literals carry one;
+//  * Gauss engine state (with the trail sweep) — the column bitmaps and
+//    unassigned count equal a fresh scan of the assignment, and every
+//    Gauss-implied literal above level 0 materializes a reason that starts
+//    with the literal, all other literals false and earlier on the trail,
+//    whose columns and value parity reduce to zero against the rows as
+//    reduced by the scalar f2::reference kernel;
 //  * propagation completeness (post-propagate fixpoint only) — no stored
-//    clause is fully falsified or unit-unpropagated, and no XOR constraint
-//    is violated or unit-unpropagated; and
+//    clause is fully falsified or unit-unpropagated, no XOR constraint is
+//    violated or unit-unpropagated, and, when the gate admitted the
+//    fixpoint, no row of the Gauss residual system reduced by the scalar
+//    f2::reference kernel is violated or unit; and
 //  * learnt-clause RUP redundancy (post-backtrack, opt-in) — the clause
 //    just attached by conflict analysis is re-derived by an independent
 //    unit-propagation check (sat::DratChecker) against the rest of the
@@ -76,7 +84,7 @@ struct AuditOptions {
   bool check_watches = true;      ///< clause + binary watch-list integrity
   bool check_arena = true;        ///< clause-arena occupancy/ref integrity
   bool check_xor_watches = true;  ///< XOR watch consistency
-  bool check_trail = true;        ///< trail/level monotonicity
+  bool check_trail = true;        ///< trail/level monotonicity, Gauss state
   /// Propagation-completeness sweep at PostPropagate checkpoints. O(DB)
   /// per fixpoint, so expensive at period 1 — but it is the check that
   /// catches watch bugs *semantically* (a falsified clause the watches
@@ -127,6 +135,7 @@ class Auditor {
   void check_watches(const Solver& s, AuditPoint point) const;
   void check_arena(const Solver& s, AuditPoint point) const;
   void check_xor_watches(const Solver& s, AuditPoint point) const;
+  void check_gauss(const Solver& s, AuditPoint point) const;
   void check_fixpoint(const Solver& s, AuditPoint point) const;
   void check_learnt_rup(const Solver& s, AuditPoint point) const;
 

@@ -1,10 +1,12 @@
 #include "sat/solver.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <chrono>
 #include <cmath>
 #include <stdexcept>
+#include <unordered_map>
 
 #include "obs/metrics.hpp"
 #include "sat/audit.hpp"
@@ -214,13 +216,7 @@ std::unique_ptr<Solver> Solver::clone_solver() const {
     if (vd.reason.kind == Reason::Kind::Xor) vd.reason.xr = xmap.at(vd.reason.xr);
   }
 
-  c->gauss_rows_ = gauss_rows_;
-  c->gauss_raw_ = gauss_raw_;
-  c->gauss_dirty_ = gauss_dirty_;
-  c->gauss_cols_ = gauss_cols_;
-  c->gauss_col_of_ = gauss_col_of_;
-  c->gauss_reason_of_var_ = gauss_reason_of_var_;
-  c->gauss_conflict_ = gauss_conflict_;
+  c->gauss_ = gauss_;
 
   return c;
 }
@@ -240,7 +236,7 @@ Var Solver::new_var() {
   bin_watches_.emplace_back();
   bin_watches_.emplace_back();
   xor_watch_.emplace_back();
-  gauss_reason_of_var_.emplace_back();
+  gauss_.col_of.push_back(-1);
   order_.grow(assigns_.size());
   order_.insert(v, activity_);
   return v;
@@ -448,7 +444,8 @@ bool Solver::add_xor(std::vector<Var> vars, bool rhs) {
   }
 
   if (opts_.use_gauss) {
-    gauss_add_row(out, rhs);
+    gauss_.raw.emplace_back(std::move(out), rhs);
+    gauss_.dirty = true;
     return true;
   }
 
@@ -544,6 +541,14 @@ void Solver::unchecked_enqueue(Lit l, Reason reason) {
   lit_assigns_[static_cast<std::size_t>((~l).code())] = LBool::False;
   vardata_[v] = {reason, decision_level()};
   trail_.push_back(l);
+  const std::int32_t col = gauss_.col_of[v];
+  if (col >= 0) {
+    const std::uint64_t bit = std::uint64_t{1} << (col & 63);
+    gauss_.assigned[static_cast<std::size_t>(col >> 6)] |= bit;
+    if (!l.negated()) gauss_.values[static_cast<std::size_t>(col >> 6)] |= bit;
+    --gauss_.unassigned;
+    gauss_.quiet = false;
+  }
 }
 
 bool Solver::enqueue(Lit l, Reason reason) {
@@ -658,136 +663,182 @@ void Solver::bcp(Reason& conflict) {
   }
 }
 
-void Solver::gauss_add_row(const std::vector<Var>& vars, bool rhs) {
-  gauss_raw_.emplace_back(vars, rhs);
-  gauss_dirty_ = true;
+void Solver::gauss_rebuild() {
+  Gauss& g = gauss_;
+  // Rows are added at decision level 0 only, so every Gauss-implied
+  // literal still on the trail is at level 0, where analysis reads no
+  // reason: the saved combinations can be dropped with the old matrix.
+  assert(std::all_of(trail_.begin(), trail_.end(), [this](Lit l) {
+    return vardata_[static_cast<std::size_t>(l.var())].reason.kind !=
+               Reason::Kind::Gauss ||
+           level(l.var()) == 0;
+  }));
+  for (const Var v : g.cols) g.col_of[static_cast<std::size_t>(v)] = -1;
+  g.cols.clear();
+  for (const auto& [vars, rhs] : g.raw) {
+    for (const Var v : vars) {
+      std::int32_t& col = g.col_of[static_cast<std::size_t>(v)];
+      if (col < 0) {
+        col = static_cast<std::int32_t>(g.cols.size());
+        g.cols.push_back(v);
+      }
+    }
+  }
+  const std::size_t ncols = g.cols.size();
+  const std::size_t nrows = g.raw.size();
+  g.words = (ncols + 63) / 64;
+  g.comb_words = (nrows + 63) / 64;
+  g.masks.assign(nrows * g.words, 0);
+  g.rhs.resize(nrows);
+  for (std::size_t r = 0; r < nrows; ++r) {
+    for (const Var v : g.raw[r].first) {
+      const auto c = static_cast<std::size_t>(g.col_of[static_cast<std::size_t>(v)]);
+      g.masks[r * g.words + c / 64] |= std::uint64_t{1} << (c % 64);
+    }
+    g.rhs[r] = static_cast<std::uint8_t>(g.raw[r].second);
+  }
+  g.assigned.assign(g.words, 0);
+  g.values.assign(g.words, 0);
+  g.unassigned = 0;
+  for (std::size_t c = 0; c < ncols; ++c) {
+    const LBool a = value(g.cols[c]);
+    if (a == LBool::Undef) {
+      ++g.unassigned;
+      continue;
+    }
+    g.assigned[c / 64] |= std::uint64_t{1} << (c % 64);
+    if (a == LBool::True) g.values[c / 64] |= std::uint64_t{1} << (c % 64);
+  }
+  g.reason.assign(ncols * g.comb_words, 0);
+  g.res.resize(nrows * g.words);
+  g.comb.resize(nrows * g.comb_words);
+  g.parity.resize(nrows);
+  g.order.resize(nrows);
+  g.live.resize(g.words);
+  g.quiet = false;
+  g.dirty = false;
+}
+
+std::size_t Solver::gauss_gate() const {
+  return opts_.gauss_max_unassigned != 0 ? opts_.gauss_max_unassigned
+                                         : 4 * gauss_.rhs.size() + 32;
+}
+
+void Solver::gauss_false_literals(const std::uint64_t* comb, std::size_t skip,
+                                  std::vector<Lit>& out) const {
+  const Gauss& g = gauss_;
+  for (std::size_t w = 0; w < g.words; ++w) {
+    std::uint64_t full = 0;
+    for (std::size_t x = 0; x < g.comb_words; ++x) {
+      for (std::uint64_t rows = comb[x]; rows != 0; rows &= rows - 1) {
+        const std::size_t r = x * 64 + static_cast<std::size_t>(std::countr_zero(rows));
+        full ^= g.masks[r * g.words + w];
+      }
+    }
+    if (skip / 64 == w) full &= ~(std::uint64_t{1} << (skip % 64));
+    for (; full != 0; full &= full - 1) {
+      const Var v = g.cols[w * 64 + static_cast<std::size_t>(std::countr_zero(full))];
+      assert(value(v) != LBool::Undef);
+      out.push_back(Lit(v, /*negated=*/value(v) == LBool::True));  // false literal
+    }
+  }
 }
 
 bool Solver::gauss_propagate(Reason& conflict) {
-  if (gauss_dirty_) {
-    // (Re)build the column space and the row masks.
-    gauss_cols_.clear();
-    gauss_col_of_.clear();
-    for (const auto& [vars, rhs] : gauss_raw_) {
-      for (Var v : vars) {
-        if (gauss_col_of_.emplace(v, gauss_cols_.size()).second) {
-          gauss_cols_.push_back(v);
-        }
-      }
-    }
-    gauss_rows_.clear();
-    for (const auto& [vars, rhs] : gauss_raw_) {
-      GaussRow row{f2::BitVec(gauss_cols_.size()), rhs};
-      for (Var v : vars) row.mask.set(gauss_col_of_[v], true);
-      gauss_rows_.push_back(std::move(row));
-    }
-    gauss_dirty_ = false;
-  }
-  if (gauss_rows_.empty()) return false;
-
-  const std::size_t ncols = gauss_cols_.size();
-  f2::BitVec assigned(ncols);
-  f2::BitVec value(ncols);
-  std::size_t unassigned = 0;
-  for (std::size_t c = 0; c < ncols; ++c) {
-    const LBool a = assigns_[static_cast<std::size_t>(gauss_cols_[c])];
-    if (a != LBool::Undef) {
-      assigned.set(c, true);
-      if (a == LBool::True) value.set(c, true);
-    } else {
-      ++unassigned;
-    }
-  }
-  const std::size_t gate = opts_.gauss_max_unassigned != 0
-                               ? opts_.gauss_max_unassigned
-                               : 4 * gauss_rows_.size() + 32;
-  if (unassigned > gate) return false;
+  Gauss& g = gauss_;
+  if (g.dirty) gauss_rebuild();
+  const std::size_t nrows = g.rhs.size();
+  if (nrows == 0 || g.unassigned > gauss_gate()) return false;
 
   ++stats_.gauss_runs;
   if (opts_.tracer != nullptr && (stats_.gauss_runs & 1023) == 0) {
     opts_.tracer->event(
         "solver.gauss",
         {{"runs", stats_.gauss_runs},
-         {"unassigned", static_cast<std::uint64_t>(unassigned)},
-         {"rows", static_cast<std::uint64_t>(gauss_rows_.size())}});
+         {"unassigned", static_cast<std::uint64_t>(g.unassigned)},
+         {"rows", static_cast<std::uint64_t>(nrows)}});
+  }
+  // Same column assignment as at a call that implied nothing: same answer.
+  if (g.quiet) return false;
+
+  // Working rows: the residual mask (the row's unassigned columns), the
+  // combination of input rows it stands for, and the residual parity.
+  const std::size_t nw = g.words;
+  const std::size_t cw = g.comb_words;
+  std::fill(g.live.begin(), g.live.end(), 0);
+  std::fill(g.comb.begin(), g.comb.end(), 0);
+  for (std::size_t r = 0; r < nrows; ++r) {
+    const std::uint64_t* mask = &g.masks[r * nw];
+    std::uint64_t* res = &g.res[r * nw];
+    int ones = 0;
+    for (std::size_t w = 0; w < nw; ++w) {
+      res[w] = mask[w] & ~g.assigned[w];
+      g.live[w] |= res[w];
+      ones += std::popcount(mask[w] & g.values[w]);
+    }
+    g.parity[r] = static_cast<std::uint8_t>(g.rhs[r] ^ (ones & 1));
+    g.comb[r * cw + r / 64] = std::uint64_t{1} << (r % 64);
+    g.order[r] = static_cast<std::uint32_t>(r);
   }
 
-  // Working rows: residual mask (unassigned vars), full combination mask,
-  // residual parity.
-  struct Working {
-    f2::BitVec res;
-    f2::BitVec full;
-    bool rhs;
-  };
-  std::vector<Working> rows;
-  rows.reserve(gauss_rows_.size());
-  for (const GaussRow& g : gauss_rows_) {
-    Working w{g.mask, g.mask, g.rhs != g.mask.dot(value)};
-    w.res.and_not(assigned);
-    rows.push_back(std::move(w));
-  }
-
-  // Gauss-Jordan elimination on the residual columns (full reduction: the
-  // extra row combinations find strictly more unit rows per call than
-  // forward-only echelon form, which measures faster overall).
+  // Gauss-Jordan elimination on the residual columns, in column order
+  // (full reduction: the extra row combinations find strictly more unit
+  // rows per call than forward-only echelon form, which measures faster
+  // overall). Only columns some residual row holds can take a pivot. Rows
+  // are swapped through `order`; rows at or after `next` in that order
+  // hold no column left of the current one, so a pivot row's residual
+  // starts at the current word.
   std::size_t next = 0;
-  for (std::size_t col = 0; col < ncols && next < rows.size(); ++col) {
-    std::size_t pivot = rows.size();
-    for (std::size_t r = next; r < rows.size(); ++r) {
-      if (rows[r].res.get(col)) {
-        pivot = r;
-        break;
+  for (std::size_t w = 0; w < nw && next < nrows; ++w) {
+    for (std::uint64_t cand = g.live[w]; cand != 0 && next < nrows; cand &= cand - 1) {
+      const std::uint64_t bit = cand & (~cand + 1);
+      std::size_t pivot = next;
+      while (pivot < nrows && (g.res[g.order[pivot] * nw + w] & bit) == 0) ++pivot;
+      if (pivot == nrows) continue;
+      std::swap(g.order[next], g.order[pivot]);
+      const std::size_t p = g.order[next];
+      const std::uint64_t* prow = &g.res[p * nw];
+      for (std::size_t r = 0; r < nrows; ++r) {
+        std::uint64_t* row = &g.res[r * nw];
+        if (r == p || (row[w] & bit) == 0) continue;
+        for (std::size_t x = w; x < nw; ++x) row[x] ^= prow[x];
+        for (std::size_t x = 0; x < cw; ++x) g.comb[r * cw + x] ^= g.comb[p * cw + x];
+        g.parity[r] = static_cast<std::uint8_t>(g.parity[r] ^ g.parity[p]);
       }
+      ++next;
     }
-    if (pivot == rows.size()) continue;
-    std::swap(rows[next], rows[pivot]);
-    for (std::size_t r = 0; r < rows.size(); ++r) {
-      if (r != next && rows[r].res.get(col)) {
-        rows[r].res ^= rows[next].res;
-        rows[r].full ^= rows[next].full;
-        rows[r].rhs = rows[r].rhs != rows[next].rhs;
-      }
-    }
-    ++next;
   }
-
-  auto false_literal = [&](std::size_t col) {
-    const Var v = gauss_cols_[col];
-    return Lit(v, /*negated=*/assigns_[static_cast<std::size_t>(v)] == LBool::True);
-  };
 
   bool enqueued = false;
-  for (const Working& w : rows) {
-    const std::size_t pc = w.res.popcount();
-    if (pc == 0) {
-      if (w.rhs) {
-        // The combined constraint is violated by assigned variables only.
-        gauss_conflict_.clear();
-        for (std::size_t c = 0; c < ncols; ++c) {
-          if (w.full.get(c)) gauss_conflict_.push_back(false_literal(c));
-        }
-        conflict = Reason::gauss();
-        return true;
-      }
-      continue;
+  for (std::size_t i = 0; i < nrows; ++i) {
+    const std::size_t r = g.order[i];
+    const std::uint64_t* res = &g.res[r * nw];
+    int ones = 0;
+    std::size_t col = 0;
+    for (std::size_t w = 0; w < nw && ones < 2; ++w) {
+      if (res[w] == 0) continue;
+      ones += std::popcount(res[w]);
+      col = w * 64 + static_cast<std::size_t>(std::countr_zero(res[w]));
     }
-    if (pc == 1) {
-      const std::size_t col = w.res.lowest_set();
-      const Var v = gauss_cols_[col];
-      const Lit implied(v, /*negated=*/!w.rhs);
-      std::vector<Lit> reason;
-      reason.push_back(implied);
-      for (std::size_t c = 0; c < ncols; ++c) {
-        if (c != col && w.full.get(c) && assigned.get(c)) {
-          reason.push_back(false_literal(c));
-        }
-      }
-      gauss_reason_of_var_[static_cast<std::size_t>(v)] = std::move(reason);
-      unchecked_enqueue(implied, Reason::gauss());
+    if (ones == 0) {
+      if (g.parity[r] == 0) continue;
+      // The combined constraint is violated by assigned variables only.
+      g.conflict.clear();
+      gauss_false_literals(&g.comb[r * cw], SIZE_MAX, g.conflict);
+      conflict = Reason::gauss();
+      return true;
+    }
+    if (ones == 1) {
+      // The combination is saved; its clause is built only if analysis
+      // asks for this literal's reason.
+      std::copy_n(&g.comb[r * cw], cw, &g.reason[col * cw]);
+      unchecked_enqueue(Lit(g.cols[col], /*negated=*/g.parity[r] == 0),
+                        Reason::gauss());
       ++stats_.xor_propagations;
       enqueued = true;
     }
   }
+  if (!enqueued) g.quiet = true;
   return enqueued;
 }
 
@@ -851,6 +902,14 @@ void Solver::cancel_until(int lvl) {
     lit_assigns_[static_cast<std::size_t>((~trail_[i]).code())] = LBool::Undef;
     vardata_[vi].reason = {};
     order_.insert(v, activity_);
+    const std::int32_t col = gauss_.col_of[vi];
+    if (col >= 0) {
+      const std::uint64_t keep = ~(std::uint64_t{1} << (col & 63));
+      gauss_.assigned[static_cast<std::size_t>(col >> 6)] &= keep;
+      gauss_.values[static_cast<std::size_t>(col >> 6)] &= keep;
+      ++gauss_.unassigned;
+      gauss_.quiet = false;
+    }
   }
   trail_.resize(bound);
   trail_lim_.resize(static_cast<std::size_t>(lvl));
@@ -872,10 +931,14 @@ Lit Solver::pick_branch_lit() {
 void Solver::reason_literals(Lit p, Reason r, std::vector<Lit>& out) const {
   out.clear();
   switch (r.kind) {
-    case Reason::Kind::Gauss:
-      out = gauss_reason_of_var_[static_cast<std::size_t>(p.var())];
-      assert(!out.empty() && out[0] == p);
+    case Reason::Kind::Gauss: {
+      const std::int32_t col = gauss_.col_of[static_cast<std::size_t>(p.var())];
+      assert(col >= 0);
+      const auto c = static_cast<std::size_t>(col);
+      out.push_back(p);
+      gauss_false_literals(&gauss_.reason[c * gauss_.comb_words], c, out);
       return;
+    }
     case Reason::Kind::Clause: {
       out.push_back(p);
       const std::size_t n = arena_.size(r.cref);
@@ -909,7 +972,7 @@ void Solver::conflict_literals(Reason r, std::vector<Lit>& out) const {
   out.clear();
   switch (r.kind) {
     case Reason::Kind::Gauss:
-      out = gauss_conflict_;
+      out = gauss_.conflict;
       return;
     case Reason::Kind::Clause: {
       const std::size_t n = arena_.size(r.cref);
@@ -1549,7 +1612,7 @@ Status Solver::search(const SolveLimits& limits, std::int64_t conflict_budget,
       // materialization and level scan.
       if (conflict.kind == Reason::Kind::Gauss) {
         int max_level = 0;
-        for (Lit q : gauss_conflict_) max_level = std::max(max_level, level(q.var()));
+        for (Lit q : gauss_.conflict) max_level = std::max(max_level, level(q.var()));
         if (max_level == 0) {
           proof_empty();  // unreachable in proof mode (Gauss is excluded)
           return Status::Unsat;

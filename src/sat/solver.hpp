@@ -20,6 +20,19 @@
 // with on-the-fly backward subsumption during conflict analysis; both emit
 // the DRAT add/delete ops that keep proofs checkable.
 //
+// With use_gauss, XOR constraints bypass the watched engine and become rows
+// of a Gauss–Jordan engine run at every propagation fixpoint. The rows are
+// packed once per addition batch as flat ⌈columns/64⌉-word masks. A
+// variable → column index lets unchecked_enqueue() and cancel_until() keep
+// the columns' assigned/value bitmaps and unassigned count current, so the
+// gate (gauss_max_unassigned) costs O(1). An admitted call returns at once
+// when no column changed since a call that implied nothing (same
+// assignment, same answer); otherwise it eliminates on reused scratch
+// words over the columns some residual row still holds, in column order.
+// An implied literal saves only its row combination; reason_literals()
+// builds the clause from it when analysis asks. stats().gauss_runs counts
+// the fixpoints the gate admits, quiet returns included.
+//
 // Usage:
 //   Solver s;
 //   Var a = s.new_var(), b = s.new_var();
@@ -35,10 +48,8 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
-#include "f2/bitvec.hpp"
 #include "obs/trace.hpp"
 #include "sat/arena.hpp"
 #include "sat/interface.hpp"
@@ -208,7 +219,7 @@ class Solver : public SolverInterface {
 
   /// Number of XOR constraints currently held (watched + Gaussian rows).
   std::size_t num_xors() const override {
-    return xors_.size() + gauss_raw_.size();
+    return xors_.size() + gauss_.raw.size();
   }
 
   /// Number of learnt clauses currently held (the warm-start capital an
@@ -370,7 +381,14 @@ class Solver : public SolverInterface {
   /// Row-reduce the Gaussian XOR system under the current assignment.
   /// Enqueues implied literals (returns true if any) or sets `conflict`.
   bool gauss_propagate(Reason& conflict);
-  void gauss_add_row(const std::vector<Var>& vars, bool rhs);
+  /// Pack gauss_.raw into the matrix and rescan the column bitmaps.
+  void gauss_rebuild();
+  /// The unassigned-column count above which gauss_propagate skips.
+  std::size_t gauss_gate() const;
+  /// Append, in column order, the false literals of the columns that the
+  /// row combination `comb` (a bitset over the rows) holds, except `skip`.
+  void gauss_false_literals(const std::uint64_t* comb, std::size_t skip,
+                            std::vector<Lit>& out) const;
 
   void attach_clause(ClauseRef c);
   void detach_clause(ClauseRef c);
@@ -490,18 +508,40 @@ class Solver : public SolverInterface {
   std::size_t vivify_head_ = 0;  ///< round-robin cursor over clauses_
   std::size_t probe_head_ = 0;   ///< round-robin cursor over variables
 
-  // --- Gaussian XOR engine state ---
-  struct GaussRow {
-    f2::BitVec mask;  ///< variable membership over the gauss column space
-    bool rhs = false;
+  /// The Gaussian XOR engine's state. Rows are added at decision level 0
+  /// only and packed at the first fixpoint after an addition; every packed
+  /// row, bitmap and combination is a flat array of 64-bit words.
+  struct Gauss {
+    std::vector<std::pair<std::vector<Var>, bool>> raw;  ///< rows as added
+    bool dirty = false;             ///< raw holds rows the matrix lacks
+    std::vector<Var> cols;          ///< column -> variable
+    std::vector<std::int32_t> col_of;  ///< variable -> column, or -1
+    std::size_t words = 0;          ///< ⌈columns/64⌉: words per row mask
+    std::size_t comb_words = 0;     ///< ⌈rows/64⌉: words per combination
+    std::vector<std::uint64_t> masks;  ///< rows × words: the row variables
+    std::vector<std::uint8_t> rhs;     ///< per row: the required parity
+    // The columns' assignment, kept current by unchecked_enqueue and
+    // cancel_until, so the gate and the quiet test cost O(1).
+    std::vector<std::uint64_t> assigned;  ///< assigned columns
+    std::vector<std::uint64_t> values;    ///< assigned columns that are true
+    std::size_t unassigned = 0;
+    /// No column changed since a call that implied nothing: the next call
+    /// would reach the same answer.
+    bool quiet = false;
+    /// columns × comb_words: the row combination that implied the column's
+    /// current value; reason_literals materializes the clause from it.
+    std::vector<std::uint64_t> reason;
+    std::vector<Lit> conflict;  ///< materialized conflict clause
+    // Elimination scratch, reused by every call: residual masks and row
+    // combinations per row, residual parities, the logical row order and
+    // the union of the residual masks.
+    std::vector<std::uint64_t> res;
+    std::vector<std::uint64_t> comb;
+    std::vector<std::uint8_t> parity;
+    std::vector<std::uint32_t> order;
+    std::vector<std::uint64_t> live;
   };
-  std::vector<GaussRow> gauss_rows_;
-  std::vector<std::pair<std::vector<Var>, bool>> gauss_raw_;  ///< rows awaiting build
-  bool gauss_dirty_ = false;
-  std::vector<Var> gauss_cols_;  ///< column index -> variable
-  std::unordered_map<Var, std::size_t> gauss_col_of_;
-  std::vector<std::vector<Lit>> gauss_reason_of_var_;  ///< reason per implied var
-  std::vector<Lit> gauss_conflict_;                    ///< materialized conflict
+  Gauss gauss_;
 };
 
 /// The Luby restart sequence value luby(y, i) scaled by y (1-based i).

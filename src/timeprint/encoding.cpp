@@ -1,6 +1,5 @@
 #include "timeprint/encoding.hpp"
 
-#include <cassert>
 #include <cmath>
 #include <stdexcept>
 #include <string>
@@ -24,7 +23,7 @@ std::size_t counter_bits(std::size_t m) {
 }
 
 TimestampEncoding TimestampEncoding::one_hot(std::size_t m) {
-  assert(m > 0);
+  if (m == 0) throw std::invalid_argument("one_hot: m must be >= 1");
   std::vector<f2::BitVec> ts;
   ts.reserve(m);
   for (std::size_t i = 0; i < m; ++i) ts.push_back(f2::BitVec::unit(m, i));
@@ -32,7 +31,7 @@ TimestampEncoding TimestampEncoding::one_hot(std::size_t m) {
 }
 
 TimestampEncoding TimestampEncoding::binary(std::size_t m) {
-  assert(m > 0);
+  if (m == 0) throw std::invalid_argument("binary: m must be >= 1");
   const std::size_t b = counter_bits(m);
   std::vector<f2::BitVec> ts;
   ts.reserve(m);
@@ -45,8 +44,8 @@ TimestampEncoding TimestampEncoding::binary(std::size_t m) {
 namespace {
 
 // The LI-d constructions need m >= 1 timestamps of width b >= 1 at a depth
-// the checker supports. Thrown in every build type: tpr passes
-// command-line values straight in.
+// the checker supports. Thrown in every build type, as are the checks of
+// the other constructors: tpr passes command-line values straight in.
 void check_li_args(const char* fn, std::size_t m, std::size_t b, std::size_t depth) {
   const std::string where = std::string(fn) + ": ";
   if (m == 0) throw std::invalid_argument(where + "m must be >= 1");
@@ -55,6 +54,14 @@ void check_li_args(const char* fn, std::size_t m, std::size_t b, std::size_t dep
     throw std::invalid_argument(where + "depth " + std::to_string(depth) +
                                 " not in [1, 4]");
   }
+}
+
+// The narrowest width at which an LI-d encoding of m timestamps can exist.
+// At depth 4 the m members and their C(m, 2) pairwise XORs must all be
+// distinct and nonzero, so 2^b - 1 >= m + C(m, 2); below depth 4 only the
+// members must be, so 2^b - 1 >= m.
+std::size_t min_li_width(std::size_t m, std::size_t depth) {
+  return counter_bits(depth >= 4 ? m + m * (m - 1) / 2 : m);
 }
 
 }  // namespace
@@ -103,7 +110,7 @@ TimestampEncoding TimestampEncoding::incremental(std::size_t m, std::size_t b,
 TimestampEncoding TimestampEncoding::incremental_auto(std::size_t m,
                                                       std::size_t depth) {
   check_li_args("incremental_auto", m, counter_bits(m), depth);
-  for (std::size_t b = counter_bits(m);; ++b) {
+  for (std::size_t b = min_li_width(m, depth);; ++b) {
     try {
       return incremental(m, b, depth);
     } catch (const std::runtime_error&) {
@@ -116,7 +123,7 @@ TimestampEncoding TimestampEncoding::random_constrained_auto(std::size_t m,
                                                              std::size_t depth,
                                                              std::uint64_t seed) {
   check_li_args("random_constrained_auto", m, counter_bits(m), depth);
-  for (std::size_t b = counter_bits(m);; ++b) {
+  for (std::size_t b = min_li_width(m, depth);; ++b) {
     try {
       return random_constrained(m, b, depth, seed);
     } catch (const std::runtime_error&) {
@@ -127,11 +134,14 @@ TimestampEncoding TimestampEncoding::random_constrained_auto(std::size_t m,
 
 TimestampEncoding TimestampEncoding::from_vectors(std::vector<f2::BitVec> timestamps,
                                                   std::size_t depth) {
-  assert(!timestamps.empty());
+  if (timestamps.empty()) {
+    throw std::invalid_argument("from_vectors: needs at least one timestamp");
+  }
   const std::size_t b = timestamps.front().size();
   for (const f2::BitVec& v : timestamps) {
-    assert(v.size() == b);
-    (void)v;
+    if (v.size() != b) {
+      throw std::invalid_argument("from_vectors: timestamps differ in width");
+    }
   }
   return TimestampEncoding(std::move(timestamps), b, depth,
                            EncodingScheme::RandomConstrained);

@@ -42,11 +42,12 @@ const char* to_string(EncodingScheme scheme);
 class TimestampEncoding {
  public:
   /// One-hot encoding: b = m, fully unambiguous (paper §4.3's "ideal" end
-  /// of the trade-off).
+  /// of the trade-off). Throws std::invalid_argument for m = 0.
   static TimestampEncoding one_hot(std::size_t m);
 
   /// Binary encoding of the cycle index (i+1 so that no timestamp is the
   /// zero vector): b = ceil(log2(m+1)). LI-1 only — maximal ambiguity.
+  /// Throws std::invalid_argument for m = 0.
   static TimestampEncoding binary(std::size_t m);
 
   /// Random-constrained LI-depth encoding with the given width. Draws
@@ -67,18 +68,21 @@ class TimestampEncoding {
                                        std::size_t depth);
 
   /// Smallest width for which the incremental construction reaches m
-  /// timestamps (tries growing b until success). Throws
-  /// std::invalid_argument for m = 0 or depth outside [1, 4].
+  /// timestamps (tries growing b until success, from the narrowest width
+  /// the LI-depth counting bound allows). Throws std::invalid_argument for
+  /// m = 0 or depth outside [1, 4].
   static TimestampEncoding incremental_auto(std::size_t m, std::size_t depth);
 
-  /// Grows b until the random-constrained construction succeeds. Throws
-  /// std::invalid_argument for m = 0 or depth outside [1, 4].
+  /// Grows b, from the same counting bound, until the random-constrained
+  /// construction succeeds. Throws std::invalid_argument for m = 0 or
+  /// depth outside [1, 4].
   static TimestampEncoding random_constrained_auto(std::size_t m, std::size_t depth,
                                                    std::uint64_t seed);
 
   /// Wrap explicit timestamp vectors (all of equal dimension). Used for
   /// fixed encodings such as the paper's Figure 4 example; `depth` records
-  /// the LI depth the caller claims (verify with verify_li()).
+  /// the LI depth the caller claims (verify with verify_li()). Throws
+  /// std::invalid_argument for no vectors or unequal widths.
   static TimestampEncoding from_vectors(std::vector<f2::BitVec> timestamps,
                                         std::size_t depth);
 

@@ -139,6 +139,24 @@ TEST(Encoding, RejectsZeroWidth) {
   EXPECT_THROW(TimestampEncoding::incremental(3, 0, 4), std::invalid_argument);
 }
 
+TEST(Encoding, OneHotRejectsZeroLength) {
+  EXPECT_THROW(TimestampEncoding::one_hot(0), std::invalid_argument);
+}
+
+TEST(Encoding, BinaryRejectsZeroLength) {
+  EXPECT_THROW(TimestampEncoding::binary(0), std::invalid_argument);
+}
+
+TEST(Encoding, FromVectorsRejectsNoTimestamps) {
+  EXPECT_THROW(TimestampEncoding::from_vectors({}, 1), std::invalid_argument);
+}
+
+TEST(Encoding, FromVectorsRejectsUnequalWidths) {
+  std::vector<f2::BitVec> ts = {f2::BitVec::from_string("0110"),
+                                f2::BitVec::from_string("011")};
+  EXPECT_THROW(TimestampEncoding::from_vectors(std::move(ts), 1), std::invalid_argument);
+}
+
 // FNV-1a over every timestamp word, in cycle order.
 std::uint64_t fingerprint(const TimestampEncoding& enc) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
@@ -207,8 +225,9 @@ TEST(Encoding, RandomConstrainedTimestampsArePinned) {
         << "random_constrained(" << p.m << ", " << p.b << ", " << p.depth << ", "
         << p.seed << ")";
   }
-  // random_constrained_auto exhausts max_attempts at every width below the
-  // one it returns, so these pin the failing widths' draws as well.
+  // random_constrained_auto exhausts max_attempts at every width from the
+  // counting bound up to the one it returns, so these pin the failing
+  // widths' draws as well.
   EXPECT_EQ(fingerprint(TimestampEncoding::random_constrained_auto(48, 4, 42)),
             0x935f2f5a5ed5f5d0ULL);  // bench_parallel
   EXPECT_EQ(fingerprint(TimestampEncoding::random_constrained_auto(12, 3, 7)),

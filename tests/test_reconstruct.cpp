@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cstddef>
+#include <cstring>
 #include <set>
 #include <sstream>
 
@@ -218,6 +221,30 @@ struct ReconCase {
   sat::CardEncoding card;
 };
 
+// gtest's default printer dumps a struct's object bytes, padding included,
+// so the ctest names changed from build to build. This prints the same
+// "40-byte object <..>" dump over a copy whose padding is zero, which keeps
+// every name the suite has had while making it the same in every build.
+void PrintTo(const ReconCase& c, std::ostream* os) {
+  std::array<unsigned char, sizeof(ReconCase)> bytes{};
+  const auto put = [&bytes](std::size_t offset, const auto& field) {
+    std::memcpy(bytes.data() + offset, &field, sizeof field);
+  };
+  put(offsetof(ReconCase, seed), c.seed);
+  put(offsetof(ReconCase, m), c.m);
+  put(offsetof(ReconCase, b), c.b);
+  put(offsetof(ReconCase, k), c.k);
+  put(offsetof(ReconCase, native_xor), c.native_xor);
+  put(offsetof(ReconCase, card), c.card);
+  static constexpr char kHex[] = "0123456789ABCDEF";
+  *os << bytes.size() << "-byte object <";
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    if (i != 0) *os << (i % 2 == 0 ? ' ' : '-');
+    *os << kHex[bytes[i] >> 4] << kHex[bytes[i] & 15];
+  }
+  *os << '>';
+}
+
 class ReconstructAgreementTest : public ::testing::TestWithParam<ReconCase> {};
 
 TEST_P(ReconstructAgreementTest, SatMatchesBruteForce) {
@@ -244,6 +271,8 @@ TEST_P(ReconstructAgreementTest, SatMatchesBruteForce) {
   for (const Signal& s : result.signals) {
     EXPECT_EQ(logger.log(s), entry);
   }
+  // The wide cases are there to run Gauss rows of two and three words.
+  if (p.native_xor && p.m > 64) EXPECT_GT(result.stats.gauss_runs, 0);
 }
 
 std::vector<ReconCase> recon_cases() {
@@ -256,6 +285,11 @@ std::vector<ReconCase> recon_cases() {
       out.push_back({seed++, 24, 11, 5, native, card});
     }
   }
+  // Native XOR + Gauss over more columns than one or two 64-bit words hold.
+  // At m = 130 every k = 3 completeness proof takes the CDCL search 10k+
+  // conflicts; the wide b = 28 keeps that near the fewest.
+  out.push_back({seed++, 70, 14, 3, true, sat::CardEncoding::SequentialCounter});
+  out.push_back({seed++, 130, 28, 3, true, sat::CardEncoding::Totalizer});
   return out;
 }
 

@@ -3,11 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <set>
 
 #include "f2/bitvec.hpp"
 #include "sat/allsat.hpp"
+#include "sat/audit.hpp"
 #include "sat/cardinality.hpp"
 #include "sat/dimacs.hpp"
 #include "sat/reference.hpp"
@@ -79,6 +81,8 @@ TEST(Gauss, AllSatEnumerationWorks) {
   opts.use_gauss = true;
   opts.gauss_max_unassigned = SIZE_MAX;
   Solver s(opts);
+  Auditor auditor;  // every checkpoint, Gauss sweep included
+  s.set_auditor(&auditor);
   auto vars = make_vars(s, 6);
   ASSERT_TRUE(s.add_xor({vars[0], vars[1], vars[2]}, true));
   ASSERT_TRUE(s.add_xor({vars[3], vars[4]}, false));
@@ -114,6 +118,8 @@ TEST(Gauss, WithCardinalityMatchesReference) {
     SolverOptions opts;
     opts.use_gauss = true;
     Solver s(opts);
+    Auditor auditor;
+    s.set_auditor(&auditor);
     cnf.load_into(s);
     std::vector<Lit> lits;
     std::vector<Var> proj;
@@ -147,6 +153,9 @@ TEST(Gauss, GateThresholdDoesNotChangeAnswers) {
     gated.use_gauss = true;
     gated.gauss_max_unassigned = 4;
     Solver a(always), b(gated);
+    Auditor auditor;
+    a.set_auditor(&auditor);
+    b.set_auditor(&auditor);
     cnf.load_into(a);
     cnf.load_into(b);
     EXPECT_EQ(a.solve(), b.solve()) << "seed " << seed;
@@ -157,11 +166,111 @@ TEST(Gauss, XorFoldedAtLevelZero) {
   SolverOptions opts;
   opts.use_gauss = true;
   Solver s(opts);
+  Auditor auditor;
+  s.set_auditor(&auditor);
   Var a = s.new_var(), b = s.new_var();
   ASSERT_TRUE(s.add_clause({mk_lit(a)}));     // a fixed true
   ASSERT_TRUE(s.add_xor({a, b}, true));       // folds to b = 0
   ASSERT_EQ(s.solve(), Status::Sat);
   EXPECT_EQ(s.model_value(b), LBool::False);
+}
+
+// Random XOR rows of 3..7 variables plus a few clauses over n variables.
+Cnf random_rows(f2::Rng& rng, int n, int rows, int clauses) {
+  Cnf cnf;
+  cnf.num_vars = n;
+  for (int i = 0; i < rows; ++i) {
+    std::vector<Var> xv;
+    const int len = 3 + static_cast<int>(rng.below(5));
+    for (int j = 0; j < len; ++j) xv.push_back(static_cast<Var>(rng.below(n)));
+    cnf.xors.emplace_back(std::move(xv), rng.flip());
+  }
+  for (int i = 0; i < clauses; ++i) {
+    const int len = 1 + static_cast<int>(rng.below(3));
+    std::vector<Lit> c;
+    for (int j = 0; j < len; ++j) {
+      c.push_back(Lit(static_cast<Var>(rng.below(n)), rng.flip()));
+    }
+    cnf.clauses.push_back(std::move(c));
+  }
+  return cnf;
+}
+
+// One complete AllSAT run over `proj`, scoped by a fresh guard that is
+// retired afterwards, so the solver can enumerate again. Sorted models.
+std::vector<std::vector<bool>> enumerate_scoped(Solver& s, const std::vector<Var>& proj,
+                                                std::uint64_t max_models = UINT64_MAX) {
+  AllSatOptions o;
+  o.guard = mk_lit(s.new_var());
+  o.max_models = max_models;
+  auto result = enumerate_models(s, proj, o);
+  EXPECT_TRUE(result.complete() || result.models.size() == max_models);
+  s.add_clause({~o.guard});
+  std::sort(result.models.begin(), result.models.end());
+  return result.models;
+}
+
+SolverOptions gauss_options(std::size_t gate) {
+  SolverOptions o;
+  o.use_gauss = true;
+  o.gauss_max_unassigned = gate;
+  return o;
+}
+
+// Rows added at level 0 after a solve rebuild the packed matrix while the
+// level-0 trail holds fixed literals and, in several seeds, Gauss-implied
+// ones whose saved row combinations the rebuild drops.
+TEST(Gauss, RowsAddedBetweenSolvesMatchWatchedXors) {
+  for (const std::size_t gate : {std::size_t{0}, SIZE_MAX}) {
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+      f2::Rng rng(seed * 11 + 5);
+      const int n = 14;
+      const Cnf first = random_rows(rng, n, 4, 3);
+      const Cnf second = random_rows(rng, n, 3, 1);
+      std::vector<Var> proj;
+      for (Var v = 0; v < n; ++v) proj.push_back(v);
+
+      Auditor auditor;  // every checkpoint, Gauss sweep included
+      Solver gauss(gauss_options(gate));
+      gauss.set_auditor(&auditor);
+      Solver watched;
+      first.load_into(gauss);
+      first.load_into(watched);
+      ASSERT_EQ(gauss.solve(), watched.solve()) << "seed " << seed;
+      second.load_into(gauss);
+      second.load_into(watched);
+      EXPECT_EQ(enumerate_scoped(gauss, proj), enumerate_scoped(watched, proj))
+          << "seed " << seed << " gate " << gate;
+    }
+  }
+}
+
+// A clone taken between AllSAT runs carries the packed matrix, the column
+// bitmaps and the saved reasons, and enumerates what the original does.
+TEST(Gauss, CloneBetweenAllSatRunsMatchesWatchedXors) {
+  for (const std::size_t gate : {std::size_t{0}, SIZE_MAX}) {
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+      f2::Rng rng(seed * 7 + 3);
+      const int n = 12;
+      const Cnf cnf = random_rows(rng, n, 5, 4);
+      std::vector<Var> proj;
+      for (Var v = 0; v < n; ++v) proj.push_back(v);
+
+      Solver watched;
+      cnf.load_into(watched);
+      const auto expected = enumerate_scoped(watched, proj);
+
+      Auditor auditor;
+      Solver gauss(gauss_options(gate));
+      gauss.set_auditor(&auditor);
+      cnf.load_into(gauss);
+      enumerate_scoped(gauss, proj, 2);  // a capped run first
+      auto clone = gauss.clone_solver();
+      clone->set_auditor(&auditor);
+      EXPECT_EQ(enumerate_scoped(*clone, proj), expected) << "seed " << seed;
+      EXPECT_EQ(enumerate_scoped(gauss, proj), expected) << "seed " << seed;
+    }
+  }
 }
 
 TEST(Assumptions, SatUnderCompatibleAssumptions) {

@@ -10,6 +10,7 @@
 
 #include "f2/bitvec.hpp"
 #include "sat/allsat.hpp"
+#include "sat/audit.hpp"
 #include "sat/dimacs.hpp"
 #include "sat/reference.hpp"
 #include "sat/solver.hpp"
@@ -95,6 +96,8 @@ TEST_P(SolverMatrixTest, AllConfigurationsAgreeWithReference) {
 
   for (std::size_t ci = 0; ci < option_matrix().size(); ++ci) {
     Solver s(option_matrix()[ci]);
+    Auditor auditor;  // every checkpoint, Gauss sweep included
+    s.set_auditor(&auditor);
     cnf.load_into(s);
     const Status st = s.solve();
     if (reference.empty()) {
@@ -121,6 +124,8 @@ TEST_P(SolverMatrixTest, AllConfigurationsEnumerateTheSameModels) {
 
   for (std::size_t ci = 0; ci < option_matrix().size(); ++ci) {
     Solver s(option_matrix()[ci]);
+    Auditor auditor;
+    s.set_auditor(&auditor);
     cnf.load_into(s);
     auto result = enumerate_models(s, projection);
     ASSERT_TRUE(result.complete()) << "config " << ci;
