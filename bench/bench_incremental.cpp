@@ -12,21 +12,10 @@
 //
 //   bench_incremental [--entries N] [--json out.json]
 //                     [--backend single|portfolio] [--members N]
-//                     [--preprocess off|on|both]
 //
 // The primary configuration (m=64, b=16, depth 4, k ≤ 4) is the PR's
 // acceptance point; the others probe the paper widths and a
 // property-pruned stream.
-//
-// --preprocess selects the template master's front end: "off" (default)
-// encodes the classic template, "on" routes the template through the
-// SatELite-style preprocessing front end (SolverConfig::preprocess), and
-// "both" decodes the stream through *both* template variants and emits a
-// twin "<name>_pre" row per configuration so the committed baseline can
-// gate the warm-template payoff (preprocessed vs. raw template
-// entries/sec). Every variant is checked entry-for-entry against the
-// fresh path's signal sets. Portfolio mode ignores the flag (no template
-// phase runs).
 //
 // With --backend portfolio the bench changes shape: each stream is decoded
 // through the fresh path twice — once on the single backend and once on a
@@ -86,11 +75,7 @@ struct Config {
   bool with_properties;    // P2 + Dk pruned stream (table_signal instances)
   std::size_t divisor;     // this config decodes max(1, --entries / divisor)
   /// Encode XOR rows as CNF (native_xor=false, use_gauss=false) instead
-  /// of handing them to the native XOR engine. The CNF rows are where the
-  /// preprocessing front-end earns its keep: chunked XOR auxiliary
-  /// variables and cycle variables are plain CNF there, so BVE can fold
-  /// them away, while under the native engine every XOR member variable
-  /// is implicitly frozen and the front-end only nibbles at the totalizer.
+  /// of handing them to the native XOR engine.
   bool cnf_xor;
 };
 
@@ -107,7 +92,6 @@ int main(int argc, char** argv) {
   std::size_t num_entries = 1000;
   sat::SolverBackend backend = sat::SolverBackend::Single;
   std::size_t members = 4;
-  std::string preprocess_mode = "off";
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--entries") == 0 && i + 1 < argc) {
       num_entries = static_cast<std::size_t>(std::atoll(argv[i + 1]));
@@ -117,18 +101,9 @@ int main(int argc, char** argv) {
                     : sat::SolverBackend::Single;
     } else if (std::strcmp(argv[i], "--members") == 0 && i + 1 < argc) {
       members = static_cast<std::size_t>(std::atoll(argv[i + 1]));
-    } else if (std::strcmp(argv[i], "--preprocess") == 0 && i + 1 < argc) {
-      preprocess_mode = argv[i + 1];
-      if (preprocess_mode != "off" && preprocess_mode != "on" &&
-          preprocess_mode != "both") {
-        std::fprintf(stderr,
-                     "bench_incremental: --preprocess expects off|on|both\n");
-        return 2;
-      }
     }
   }
   const bool portfolio_mode = backend == sat::SolverBackend::Portfolio;
-  if (portfolio_mode) preprocess_mode = "off";
 
   bench::JsonReport report("incremental", argc, argv);
   report.config().set("entries", static_cast<std::uint64_t>(num_entries));
@@ -136,9 +111,8 @@ int main(int argc, char** argv) {
   report.config().set("backend", std::string(sat::to_string(backend)));
   report.config().set(
       "members", static_cast<std::uint64_t>(portfolio_mode ? members : 1));
-  report.config().set("preprocess", preprocess_mode);
+  bench::record_host(report.config());
   const unsigned hw = std::thread::hardware_concurrency();
-  report.config().set("hardware_concurrency", static_cast<std::uint64_t>(hw));
   // A portfolio race needs one core per member; with fewer cores the
   // losers' timeslices are pure overhead and the speedup ratio is
   // meaningless. Flag it so baseline checkers skip the ratio gate.
@@ -151,14 +125,7 @@ int main(int argc, char** argv) {
       {"m64_b16", 64, 16, 4, 3, false, 1, false},       // acceptance point
       {"m64_b13_paper", 64, 13, 4, 3, false, 1, false}, // paper's m=64 width
       // Property-pruned CNF-XOR rows (no native XOR engine, no Gauss):
-      // the encoding regime of a proof-logging deployment, and where the
-      // --preprocess axis earns its keep — property clauses plus chunked
-      // XOR chains hand BVE hundreds-to-thousands of eliminable auxiliary
-      // variables, cutting template propagations 2-3x. On the native-XOR
-      // guard rows above the front-end is roughly neutral (XOR member
-      // variables are implicitly frozen, so only totalizer internals are
-      // eliminable) — the _pre twins there pin that down rather than
-      // advertise a win.
+      // the encoding regime of a proof-logging deployment.
       {"m64_b16_props_cnf", 64, 16, 4, 4, true, 1, true},
       {"m64_b13_props_cnf", 64, 13, 4, 4, true, 1, true},
       {"m96_b16_props_cnf", 96, 16, 4, 4, true, 2, true},
@@ -235,33 +202,12 @@ int main(int argc, char** argv) {
       fr.seconds = std::chrono::duration<double>(Clock::now() - t0).count();
     }
 
-    // One warm-template decode of the whole stream under `topts`.
-    const auto run_template = [&](const core::ReconstructionOptions& topts) {
-      PhaseResult r;
-      core::TemplateReconstructor tmpl(fresh, topts, stream_k_max);
-      const auto t0 = Clock::now();
-      for (const core::LogEntry& e : entries) {
-        const core::ReconstructionResult res = tmpl.reconstruct(e);
-        r.signals += res.signals.size();
-        r.stats += res.stats;
-        r.keys.push_back(signal_key(res.signals));
-      }
-      r.seconds = std::chrono::duration<double>(Clock::now() - t0).count();
-      return r;
-    };
-
-    struct Variant {
-      std::string name;
-      bool preprocess;
-      PhaseResult tr;
-    };
-    std::vector<Variant> variants;
+    PhaseResult tr;
     if (portfolio_mode) {
       // Same stream, same fresh path, portfolio backend racing per solve.
       core::ReconstructionOptions popts = opts;
       popts.solver_backend = sat::SolverBackend::Portfolio;
       popts.portfolio_members = members;
-      PhaseResult tr;
       const auto t0 = Clock::now();
       for (const core::LogEntry& e : entries) {
         const core::ReconstructionResult r = fresh.reconstruct(e, popts);
@@ -270,77 +216,72 @@ int main(int argc, char** argv) {
         tr.keys.push_back(signal_key(r.signals));
       }
       tr.seconds = std::chrono::duration<double>(Clock::now() - t0).count();
-      variants.push_back({cfg.name, false, std::move(tr)});
     } else {
-      if (preprocess_mode != "on") {
-        variants.push_back({cfg.name, false, run_template(opts)});
+      // One warm template serves the whole stream.
+      core::TemplateReconstructor tmpl(fresh, opts, stream_k_max);
+      const auto t0 = Clock::now();
+      for (const core::LogEntry& e : entries) {
+        const core::ReconstructionResult r = tmpl.reconstruct(e);
+        tr.signals += r.signals.size();
+        tr.stats += r.stats;
+        tr.keys.push_back(signal_key(r.signals));
       }
-      if (preprocess_mode != "off") {
-        core::ReconstructionOptions popts = opts;
-        popts.preprocess = true;
-        const bool twin = preprocess_mode == "both";
-        variants.push_back({twin ? std::string(cfg.name) + "_pre" : cfg.name,
-                            true, run_template(popts)});
-      }
+      tr.seconds = std::chrono::duration<double>(Clock::now() - t0).count();
     }
 
     report.add_solver_stats(fr.stats);
-    for (const Variant& v : variants) {
-      const PhaseResult& tr = v.tr;
-      const bool identical = fr.keys == tr.keys;
-      const double fresh_eps = fr.seconds > 0 ? cfg_entries / fr.seconds : 0.0;
-      const double tmpl_eps = tr.seconds > 0 ? cfg_entries / tr.seconds : 0.0;
-      const double speedup = tr.seconds > 0 ? fr.seconds / tr.seconds : 0.0;
+    const bool identical = fr.keys == tr.keys;
+    const double fresh_eps = fr.seconds > 0 ? cfg_entries / fr.seconds : 0.0;
+    const double tmpl_eps = tr.seconds > 0 ? cfg_entries / tr.seconds : 0.0;
+    const double speedup = tr.seconds > 0 ? fr.seconds / tr.seconds : 0.0;
 
-      std::printf("%-16s %8zu %10.1f %10.1f %9.2fx %8llu %6s\n",
-                  v.name.c_str(), cfg_entries, fresh_eps, tmpl_eps, speedup,
-                  static_cast<unsigned long long>(tr.signals),
-                  identical ? "yes" : "NO");
+    std::printf("%-16s %8zu %10.1f %10.1f %9.2fx %8llu %6s\n",
+                cfg.name, cfg_entries, fresh_eps, tmpl_eps, speedup,
+                static_cast<unsigned long long>(tr.signals),
+                identical ? "yes" : "NO");
 
-      report.add_solver_stats(tr.stats);
-      obs::Json row = obs::Json::object()
-                          .set("config", v.name)
-                          .set("m", static_cast<std::uint64_t>(cfg.m))
-                          .set("b", static_cast<std::uint64_t>(cfg.b))
-                          .set("depth", static_cast<std::uint64_t>(cfg.depth))
-                          .set("properties", cfg.with_properties)
-                          .set("cnf_xor", cfg.cnf_xor)
-                          .set("entries", static_cast<std::uint64_t>(cfg_entries))
-                          .set("k_max", static_cast<std::uint64_t>(stream_k_max))
-                          .set("preprocess", v.preprocess)
-                          .set("speedup", speedup)
-                          .set("signals", static_cast<std::uint64_t>(tr.signals))
-                          .set("identical_signal_sets", identical)
-                          .set("presolve_num_vars",
-                               static_cast<std::int64_t>(probe_on.num_vars))
-                          .set("classic_num_vars",
-                               static_cast<std::int64_t>(probe_off.num_vars))
-                          .set("presolve_num_xors",
-                               static_cast<std::uint64_t>(probe_on.num_xors))
-                          .set("classic_num_xors",
-                               static_cast<std::uint64_t>(probe_off.num_xors))
-                          .set("presolve_identical_signals", probe_identical);
-      if (portfolio_mode) {
-        row.set("single_seconds", fr.seconds)
-            .set("portfolio_seconds", tr.seconds)
-            .set("single_entries_per_sec", fresh_eps)
-            .set("portfolio_entries_per_sec", tmpl_eps)
-            .set("portfolio_members", static_cast<std::uint64_t>(members));
-      } else {
-        row.set("fresh_seconds", fr.seconds)
-            .set("template_seconds", tr.seconds)
-            .set("fresh_entries_per_sec", fresh_eps)
-            .set("template_entries_per_sec", tmpl_eps);
-      }
-      report.add_row(std::move(row));
+    report.add_solver_stats(tr.stats);
+    obs::Json row = obs::Json::object()
+                        .set("config", std::string(cfg.name))
+                        .set("m", static_cast<std::uint64_t>(cfg.m))
+                        .set("b", static_cast<std::uint64_t>(cfg.b))
+                        .set("depth", static_cast<std::uint64_t>(cfg.depth))
+                        .set("properties", cfg.with_properties)
+                        .set("cnf_xor", cfg.cnf_xor)
+                        .set("entries", static_cast<std::uint64_t>(cfg_entries))
+                        .set("k_max", static_cast<std::uint64_t>(stream_k_max))
+                        .set("speedup", speedup)
+                        .set("signals", static_cast<std::uint64_t>(tr.signals))
+                        .set("identical_signal_sets", identical)
+                        .set("presolve_num_vars",
+                             static_cast<std::int64_t>(probe_on.num_vars))
+                        .set("classic_num_vars",
+                             static_cast<std::int64_t>(probe_off.num_vars))
+                        .set("presolve_num_xors",
+                             static_cast<std::uint64_t>(probe_on.num_xors))
+                        .set("classic_num_xors",
+                             static_cast<std::uint64_t>(probe_off.num_xors))
+                        .set("presolve_identical_signals", probe_identical);
+    if (portfolio_mode) {
+      row.set("single_seconds", fr.seconds)
+          .set("portfolio_seconds", tr.seconds)
+          .set("single_entries_per_sec", fresh_eps)
+          .set("portfolio_entries_per_sec", tmpl_eps)
+          .set("portfolio_members", static_cast<std::uint64_t>(members));
+    } else {
+      row.set("fresh_seconds", fr.seconds)
+          .set("template_seconds", tr.seconds)
+          .set("fresh_entries_per_sec", fresh_eps)
+          .set("template_entries_per_sec", tmpl_eps);
+    }
+    report.add_row(std::move(row));
 
-      if (!identical) {
-        std::fprintf(stderr,
-                     "bench_incremental: signal-set mismatch in config %s\n",
-                     v.name.c_str());
-        report.finish();
-        return 1;
-      }
+    if (!identical) {
+      std::fprintf(stderr,
+                   "bench_incremental: signal-set mismatch in config %s\n",
+                   cfg.name);
+      report.finish();
+      return 1;
     }
   }
 

@@ -21,17 +21,7 @@
 // engine); its fingerprint must equal the twin's, and the binary exits
 // non-zero on a mismatch, so every run checks a Gauss answer.
 //
-//   bench_solver [--entries N] [--json out.json] [--preprocess MODE]
-//
-// --preprocess selects the CNF front-end axis (sat/preprocess.hpp):
-// "off" = raw rows only, "on" = every row preprocessed, "both" (the
-// default and the committed-baseline shape) = each config twice — the raw
-// row under its plain name and a preprocessed twin under "<name>_pre".
-// A _pre row must reproduce its raw twin's fingerprint exactly (the
-// front-end may only change *how fast* the preimage is found, never the
-// preimage); the binary exits non-zero on a mismatch. The mode is part of
-// the report's identity: tools/check_bench_json.py refuses to diff
-// reports whose preprocess modes disagree.
+//   bench_solver [--entries N] [--json out.json]
 //
 // The committed BENCH_solver.json is the pre-arena baseline; CI diffs a
 // fresh run against it with tools/check_bench_json.py --baseline (ratio on
@@ -93,7 +83,6 @@ int main(int argc, char** argv) {
   std::size_t entry_scale = 100;  // percent of each config's default stream
   sat::SolverBackend backend = sat::SolverBackend::Single;
   std::size_t members = 4;
-  std::string preprocess_mode = "both";  // off | on | both
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--entries") == 0 && i + 1 < argc) {
       entry_scale = static_cast<std::size_t>(std::atoll(argv[i + 1]));
@@ -103,13 +92,6 @@ int main(int argc, char** argv) {
                     : sat::SolverBackend::Single;
     } else if (std::strcmp(argv[i], "--members") == 0 && i + 1 < argc) {
       members = static_cast<std::size_t>(std::atoll(argv[i + 1]));
-    } else if (std::strcmp(argv[i], "--preprocess") == 0 && i + 1 < argc) {
-      preprocess_mode = argv[i + 1];
-      if (preprocess_mode != "off" && preprocess_mode != "on" &&
-          preprocess_mode != "both") {
-        std::fprintf(stderr, "bench_solver: --preprocess expects off|on|both\n");
-        return 2;
-      }
     }
   }
 
@@ -122,9 +104,6 @@ int main(int argc, char** argv) {
   report.config().set("members",
                       static_cast<std::uint64_t>(
                           backend == sat::SolverBackend::Portfolio ? members : 1));
-  // Part of the identity for the same reason: a preprocess-on run must
-  // never be ratio-diffed against a preprocess-off baseline row-for-row.
-  report.config().set("preprocess", preprocess_mode);
   bench::record_host(report.config());
 
   // Table-1 shapes (m = 64, 128 with the paper widths, k = 3..8), a
@@ -145,7 +124,7 @@ int main(int argc, char** argv) {
 
   bool all_complete_ok = true;
   bool fingerprints_ok = true;
-  std::map<std::string, std::string> raw_fps;  // complete row -> fingerprint
+  std::map<std::string, std::string> fps;  // complete row -> fingerprint
   for (const Config& cfg : configs) {
     const std::size_t n_entries =
         std::max<std::size_t>(1, cfg.entries * entry_scale / 100);
@@ -162,101 +141,80 @@ int main(int argc, char** argv) {
     }
     const bool complete_row = cfg.max_solutions == UINT64_MAX;
 
-    // One pass per front-end variant; in "both" mode the preprocessed
-    // twin must land on the raw pass's fingerprint.
-    std::string raw_fp;
-    for (const bool preprocess : {false, true}) {
-      if (preprocess_mode == (preprocess ? "off" : "on")) continue;
-      core::ReconstructionOptions opts;
-      opts.use_gauss = cfg.use_gauss;
-      opts.max_solutions = cfg.max_solutions;
-      opts.solver_backend = backend;
-      opts.portfolio_members = members;
-      opts.preprocess = preprocess;
-      opts.verify_models = !complete_row;  // capped rows: each model re-checked
+    core::ReconstructionOptions opts;
+    opts.use_gauss = cfg.use_gauss;
+    opts.max_solutions = cfg.max_solutions;
+    opts.solver_backend = backend;
+    opts.portfolio_members = members;
+    opts.verify_models = !complete_row;  // capped rows: each model re-checked
 
-      f2::Rng rng(cfg.m * 1009 + cfg.k);
-      sat::SolverStats stats;
-      double seconds = 0.0;
-      std::uint64_t signals = 0;
-      std::uint64_t fingerprint = 1469598103934665603ULL;  // FNV offset basis
-      bool complete = true;
-      for (std::size_t i = 0; i < n_entries; ++i) {
-        const core::Signal s = cfg.with_properties
-                                   ? bench::table_signal(cfg.m, cfg.k, rng)
-                                   : core::Signal::random_with_changes(cfg.m, cfg.k, rng);
-        const core::LogEntry entry = logger.log(s);
-        const core::ReconstructionResult r = rec.reconstruct(entry, opts);
-        stats += r.stats;
-        seconds += r.seconds_total;
-        signals += r.signals.size();
-        if (complete_row) {
-          complete = complete && r.complete();
-          fnv1a(fingerprint, sorted_signal_key(r.signals));
-        }
-      }
-
-      const std::string row_name =
-          std::string(cfg.name) + (preprocess ? "_pre" : "");
-      const double props_per_sec = seconds > 0 ? static_cast<double>(stats.propagations) / seconds : 0.0;
-      const double confl_per_sec = seconds > 0 ? static_cast<double>(stats.conflicts) / seconds : 0.0;
-      char fp[24] = "-";
+    f2::Rng rng(cfg.m * 1009 + cfg.k);
+    sat::SolverStats stats;
+    double seconds = 0.0;
+    std::uint64_t signals = 0;
+    std::uint64_t fingerprint = 1469598103934665603ULL;  // FNV offset basis
+    bool complete = true;
+    for (std::size_t i = 0; i < n_entries; ++i) {
+      const core::Signal s = cfg.with_properties
+                                 ? bench::table_signal(cfg.m, cfg.k, rng)
+                                 : core::Signal::random_with_changes(cfg.m, cfg.k, rng);
+      const core::LogEntry entry = logger.log(s);
+      const core::ReconstructionResult r = rec.reconstruct(entry, opts);
+      stats += r.stats;
+      seconds += r.seconds_total;
+      signals += r.signals.size();
       if (complete_row) {
-        std::snprintf(fp, sizeof(fp), "%016llx",
-                      static_cast<unsigned long long>(fingerprint));
+        complete = complete && r.complete();
+        fnv1a(fingerprint, sorted_signal_key(r.signals));
       }
-      all_complete_ok = all_complete_ok && complete;
-      std::printf("%-20s %8zu %8llu %12.0f %12.0f %10.3f %16s%s\n",
-                  row_name.c_str(), n_entries,
-                  static_cast<unsigned long long>(signals), props_per_sec,
-                  confl_per_sec, seconds, fp,
-                  complete ? "" : "  INCOMPLETE");
-      std::fflush(stdout);
+    }
 
-      report.add_solver_stats(stats);
-      obs::Json row = obs::Json::object()
-                          .set("config", row_name)
-                          .set("m", static_cast<std::uint64_t>(cfg.m))
-                          .set("k", static_cast<std::uint64_t>(cfg.k))
-                          .set("properties", cfg.with_properties)
-                          .set("use_gauss", cfg.use_gauss)
-                          .set("preprocess", preprocess)
-                          .set("entries", static_cast<std::uint64_t>(n_entries))
-                          .set("signals", signals)
-                          .set("seconds", seconds)
-                          .set("propagations", stats.propagations)
-                          .set("conflicts", stats.conflicts)
-                          .set("props_per_sec", props_per_sec)
-                          .set("conflicts_per_sec", confl_per_sec);
-      if (complete_row) row.set("fingerprint", std::string(fp));
-      report.add_row(std::move(row));
+    const double props_per_sec = seconds > 0 ? static_cast<double>(stats.propagations) / seconds : 0.0;
+    const double confl_per_sec = seconds > 0 ? static_cast<double>(stats.conflicts) / seconds : 0.0;
+    char fp[24] = "-";
+    if (complete_row) {
+      std::snprintf(fp, sizeof(fp), "%016llx",
+                    static_cast<unsigned long long>(fingerprint));
+    }
+    all_complete_ok = all_complete_ok && complete;
+    std::printf("%-20s %8zu %8llu %12.0f %12.0f %10.3f %16s%s\n", cfg.name,
+                n_entries, static_cast<unsigned long long>(signals),
+                props_per_sec, confl_per_sec, seconds, fp,
+                complete ? "" : "  INCOMPLETE");
+    std::fflush(stdout);
 
-      if (complete_row && !complete) {
-        std::fprintf(stderr, "bench_solver: config %s did not enumerate to "
-                             "completion\n", row_name.c_str());
-        report.finish();
-        return 1;
-      }
-      if (complete_row) {
-        if (!preprocess) {
-          raw_fp = fp;
-          raw_fps[cfg.name] = fp;
-          if (cfg.same_answers_as != nullptr &&
-              raw_fps[cfg.same_answers_as] != raw_fp) {
-            std::fprintf(stderr,
-                         "bench_solver: %s fingerprint %s differs from %s's %s — "
-                         "the XOR engines disagree on the preimage\n",
-                         row_name.c_str(), fp, cfg.same_answers_as,
-                         raw_fps[cfg.same_answers_as].c_str());
-            fingerprints_ok = false;
-          }
-        } else if (!raw_fp.empty() && raw_fp != fp) {
-          std::fprintf(stderr,
-                       "bench_solver: %s fingerprint %s differs from raw %s — "
-                       "the front-end changed the preimage\n",
-                       row_name.c_str(), fp, raw_fp.c_str());
-          fingerprints_ok = false;
-        }
+    report.add_solver_stats(stats);
+    obs::Json row = obs::Json::object()
+                        .set("config", std::string(cfg.name))
+                        .set("m", static_cast<std::uint64_t>(cfg.m))
+                        .set("k", static_cast<std::uint64_t>(cfg.k))
+                        .set("properties", cfg.with_properties)
+                        .set("use_gauss", cfg.use_gauss)
+                        .set("entries", static_cast<std::uint64_t>(n_entries))
+                        .set("signals", signals)
+                        .set("seconds", seconds)
+                        .set("propagations", stats.propagations)
+                        .set("conflicts", stats.conflicts)
+                        .set("props_per_sec", props_per_sec)
+                        .set("conflicts_per_sec", confl_per_sec);
+    if (complete_row) row.set("fingerprint", std::string(fp));
+    report.add_row(std::move(row));
+
+    if (complete_row && !complete) {
+      std::fprintf(stderr, "bench_solver: config %s did not enumerate to "
+                           "completion\n", cfg.name);
+      report.finish();
+      return 1;
+    }
+    if (complete_row) {
+      fps[cfg.name] = fp;
+      if (cfg.same_answers_as != nullptr && fps[cfg.same_answers_as] != fp) {
+        std::fprintf(stderr,
+                     "bench_solver: %s fingerprint %s differs from %s's %s — "
+                     "the XOR engines disagree on the preimage\n",
+                     cfg.name, fp, cfg.same_answers_as,
+                     fps[cfg.same_answers_as].c_str());
+        fingerprints_ok = false;
       }
     }
   }

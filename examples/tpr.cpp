@@ -17,15 +17,11 @@
 //       Replay a reconstruction with event tracing on and dump the JSONL
 //       trace (solver/encode/enumeration spans and events) to stdout or,
 //       with --out FILE, to a file; the solution summary goes to stderr.
-//   tpr solve <cnf-file> [--proof FILE] [--binary-proof] [--preprocess]
+//   tpr solve <cnf-file> [--proof FILE] [--binary-proof]
 //       Solve an extended-DIMACS instance with the CDCL core. With --proof,
 //       every learnt/deleted clause is streamed as a DRAT proof (text by
 //       default, binary with --binary-proof); an UNSAT run's proof ends
-//       with the empty clause. --preprocess runs the CNF front-end
-//       (bounded variable elimination, subsumption, failed-literal
-//       probing, dense remapping — sat/preprocess.hpp) before the CDCL
-//       loop; proofs stay checkable against the original instance.
-//       Exit 0 = SAT, 1 = UNSAT, 2 = error.
+//       with the empty clause. Exit 0 = SAT, 1 = UNSAT, 2 = error.
 //   tpr check-proof <cnf-file> <proof-file> [--binary-proof]
 //       Replay a DRAT proof against the instance with the independent
 //       RUP/RAT checker (shares no code with the solver). Exit 0 iff the
@@ -39,21 +35,24 @@
 //                              (timeprint/incremental.hpp) instead of a
 //                              fresh solver; `tpr trace` reports the
 //                              incremental.* counters on stderr
-//   --preprocess / --no-preprocess
-//                              enable/disable the CNF preprocessing
-//                              front-end ahead of every solve (default
-//                              off); `tpr trace` reports the
-//                              solver.preprocess.* counters on stderr
+//
+// Numbers are unsigned decimal digits only (the --timeout value is a
+// non-negative decimal); a malformed value is an error (exit 2) that names
+// its argument.
 //
 // Example:
 //   tpr reconstruct 64 13 1 0101100110010 4 --prop "before 32 min 3" --max 5
 
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
+#include <stdexcept>
 #include <string>
 
 #include "obs/metrics.hpp"
@@ -75,15 +74,14 @@ int usage() {
                "  tpr encode <m> <b> <depth> <seed>\n"
                "  tpr log <m> <b> <seed> <signal-bits>\n"
                "  tpr reconstruct <m> <b> <seed> <tp-bits> <k> [--prop P] "
-               "[--max N] [--timeout S] [--incremental] [--preprocess]\n"
+               "[--max N] [--timeout S] [--incremental]\n"
                "      [--inprocess BUDGET] [--inprocess-every N]\n"
                "  tpr check <m> <b> <seed> <tp-bits> <k> --hypothesis P "
-               "[--prop P] [--timeout S] [--preprocess]\n"
+               "[--prop P] [--timeout S]\n"
                "  tpr trace <m> <b> <seed> <tp-bits> <k> [--prop P] [--max N] "
-               "[--timeout S] [--out FILE] [--incremental] [--preprocess]\n"
+               "[--timeout S] [--out FILE] [--incremental]\n"
                "      [--inprocess BUDGET] [--inprocess-every N]\n"
-               "  tpr solve <cnf-file> [--proof FILE] [--binary-proof] "
-               "[--preprocess]\n"
+               "  tpr solve <cnf-file> [--proof FILE] [--binary-proof]\n"
                "  tpr check-proof <cnf-file> <proof-file> [--binary-proof]\n");
   return 2;
 }
@@ -99,15 +97,10 @@ int cmd_solve(int argc, char** argv) {
   if (argc < 3) return usage();
   std::string proof_path;
   bool binary = false;
-  bool preprocess = false;
   for (int i = 3; i < argc; ++i) {
     const std::string flag = argv[i];
     if (flag == "--binary-proof") {
       binary = true;
-    } else if (flag == "--preprocess") {
-      preprocess = true;
-    } else if (flag == "--no-preprocess") {
-      preprocess = false;
     } else if (flag == "--proof" && i + 1 < argc) {
       proof_path = argv[++i];
     } else {
@@ -135,7 +128,6 @@ int cmd_solve(int argc, char** argv) {
 
   sat::SolverOptions so;
   so.proof = sink.get();
-  so.preprocess = preprocess;
   const std::unique_ptr<sat::SolverInterface> solver =
       sat::SolverFactory::make(so);
   sat::Status status = sat::Status::Unsat;
@@ -187,7 +179,38 @@ int cmd_check_proof(int argc, char** argv) {
   return res.valid && res.proved_unsat ? 0 : 1;
 }
 
-std::size_t to_num(const char* s) { return std::strtoull(s, nullptr, 10); }
+// Strict command-line numbers: a malformed or out-of-range value throws
+// std::invalid_argument naming the argument, which main() reports with
+// exit status 2.
+std::size_t to_num(const char* arg, const char* value,
+                   std::size_t max = std::numeric_limits<std::size_t>::max()) {
+  std::size_t n = 0;
+  try {
+    n = core::parse_number(value);
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument(std::string(arg) + ": " + e.what());
+  }
+  if (n > max) {
+    throw std::invalid_argument(std::string(arg) + ": " + value +
+                                " exceeds " + std::to_string(max));
+  }
+  return n;
+}
+
+double to_seconds(const char* arg, const char* value) {
+  // strtod alone would skip whitespace and take a sign, "inf" or "nan".
+  const bool unsigned_decimal =
+      std::isdigit(static_cast<unsigned char>(value[0])) || value[0] == '.';
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(value, &end);
+  if (!unsigned_decimal || end == value || *end != '\0' || errno == ERANGE) {
+    throw std::invalid_argument(std::string(arg) +
+                                ": expected a non-negative number of seconds, "
+                                "got '" + value + "'");
+  }
+  return v;
+}
 
 struct CommonOptions {
   std::unique_ptr<core::Property> known;
@@ -196,7 +219,6 @@ struct CommonOptions {
   double timeout = -1.0;
   std::string trace_out;
   bool incremental = false;
-  bool preprocess = false;
   std::int64_t inprocess_budget = -1;   ///< -1 = SolverConfig default
   std::int64_t inprocess_interval = -1; ///< -1 = SolverConfig default
 };
@@ -206,14 +228,6 @@ bool parse_flags(int argc, char** argv, int first, CommonOptions& out) {
     const std::string flag = argv[i];
     if (flag == "--incremental") {  // valueless
       out.incremental = true;
-      continue;
-    }
-    if (flag == "--preprocess") {  // valueless
-      out.preprocess = true;
-      continue;
-    }
-    if (flag == "--no-preprocess") {  // valueless
-      out.preprocess = false;
       continue;
     }
     if (i + 1 >= argc) {
@@ -226,15 +240,17 @@ bool parse_flags(int argc, char** argv, int first, CommonOptions& out) {
     } else if (flag == "--hypothesis") {
       out.hypothesis = core::parse_properties(value);
     } else if (flag == "--max") {
-      out.max_solutions = to_num(value);
+      out.max_solutions = to_num("--max", value);
     } else if (flag == "--timeout") {
-      out.timeout = std::atof(value);
+      out.timeout = to_seconds("--timeout", value);
     } else if (flag == "--out") {
       out.trace_out = value;
     } else if (flag == "--inprocess") {
-      out.inprocess_budget = static_cast<std::int64_t>(to_num(value));
+      out.inprocess_budget = static_cast<std::int64_t>(to_num(
+          "--inprocess", value, std::numeric_limits<std::int64_t>::max()));
     } else if (flag == "--inprocess-every") {
-      out.inprocess_interval = static_cast<std::int64_t>(to_num(value));
+      out.inprocess_interval = static_cast<std::int64_t>(to_num(
+          "--inprocess-every", value, std::numeric_limits<std::uint32_t>::max()));
     } else {
       std::fprintf(stderr, "unknown flag %s\n", flag.c_str());
       return false;
@@ -254,7 +270,8 @@ int main(int argc, char** argv) {
     if (cmd == "encode") {
       if (argc != 6) return usage();
       const auto enc = core::TimestampEncoding::random_constrained(
-          to_num(argv[2]), to_num(argv[3]), to_num(argv[4]), to_num(argv[5]));
+          to_num("<m>", argv[2]), to_num("<b>", argv[3]),
+          to_num("<depth>", argv[4]), to_num("<seed>", argv[5]));
       std::printf("# m=%zu b=%zu depth=%zu scheme=%s\n", enc.m(), enc.width(),
                   enc.depth(), to_string(enc.scheme()));
       for (std::size_t i = 0; i < enc.m(); ++i) {
@@ -265,7 +282,8 @@ int main(int argc, char** argv) {
     if (cmd == "log") {
       if (argc != 6) return usage();
       const auto enc = core::TimestampEncoding::random_constrained(
-          to_num(argv[2]), to_num(argv[3]), 4, to_num(argv[4]));
+          to_num("<m>", argv[2]), to_num("<b>", argv[3]), 4,
+          to_num("<seed>", argv[4]));
       std::string bits = argv[5];
       if (bits.size() != enc.m()) {
         std::fprintf(stderr, "signal must have exactly m=%zu bits\n", enc.m());
@@ -282,14 +300,16 @@ int main(int argc, char** argv) {
     if (cmd == "reconstruct" || cmd == "check" || cmd == "trace") {
       if (argc < 7) return usage();
       const auto enc = core::TimestampEncoding::random_constrained(
-          to_num(argv[2]), to_num(argv[3]), 4, to_num(argv[4]));
+          to_num("<m>", argv[2]), to_num("<b>", argv[3]), 4,
+          to_num("<seed>", argv[4]));
       const std::string tp_bits = argv[5];
       if (tp_bits.size() != enc.width()) {
         std::fprintf(stderr, "timeprint must have exactly b=%zu bits\n",
                      enc.width());
         return 2;
       }
-      core::LogEntry entry{f2::BitVec::from_string(tp_bits), to_num(argv[6])};
+      core::LogEntry entry{f2::BitVec::from_string(tp_bits),
+                           to_num("<k>", argv[6])};
 
       CommonOptions opts;
       if (!parse_flags(argc, argv, 7, opts)) return 2;
@@ -300,7 +320,6 @@ int main(int argc, char** argv) {
       ro.max_solutions = opts.max_solutions;
       ro.limits.max_seconds = opts.timeout;
       ro.incremental = opts.incremental;
-      ro.preprocess = opts.preprocess;
       if (opts.inprocess_budget >= 0) ro.inprocess_budget = opts.inprocess_budget;
       if (opts.inprocess_interval >= 0) {
         ro.inprocess_interval =
@@ -341,33 +360,8 @@ int main(int argc, char** argv) {
             static_cast<long long>(reg.counter_value("incremental.learnt_retained")));
         std::fprintf(
             stderr,
-            "# preprocess runs=%lld vars_eliminated=%lld vars_fixed=%lld "
-            "resolvents_added=%lld subsumed=%lld strengthened=%lld "
-            "failed_literals=%lld\n",
-            static_cast<long long>(reg.counter_value("solver.preprocess.runs")),
-            static_cast<long long>(
-                reg.counter_value("solver.preprocess.vars_eliminated")),
-            static_cast<long long>(
-                reg.counter_value("solver.preprocess.vars_fixed")),
-            static_cast<long long>(
-                reg.counter_value("solver.preprocess.resolvents_added")),
-            static_cast<long long>(
-                reg.counter_value("solver.preprocess.subsumed")),
-            static_cast<long long>(
-                reg.counter_value("solver.preprocess.strengthened")),
-            static_cast<long long>(
-                reg.counter_value("solver.preprocess.failed_literals")));
-        std::fprintf(
-            stderr,
-            "# warm-template cycle_vars_eliminated=%lld restored_vars=%lld "
-            "witness_bytes=%lld inprocess_rounds=%lld template_evictions=%lld "
+            "# warm-template inprocess_rounds=%lld template_evictions=%lld "
             "template_cache_bytes=%lld\n",
-            static_cast<long long>(
-                reg.gauge_value("incremental.cycle_vars_eliminated")),
-            static_cast<long long>(
-                reg.counter_value("solver.preprocess.restored_vars")),
-            static_cast<long long>(
-                reg.counter_value("solver.preprocess.witness_bytes")),
             static_cast<long long>(
                 reg.counter_value("solver.inprocess.rounds")),
             static_cast<long long>(

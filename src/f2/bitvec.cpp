@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace tp::f2 {
 
@@ -57,7 +59,11 @@ BitVec BitVec::from_words(std::size_t n, std::span<const std::uint64_t> words) {
 BitVec BitVec::from_string(std::string_view bits) {
   BitVec v(bits.size());
   for (std::size_t i = 0; i < bits.size(); ++i) {
-    assert(bits[i] == '0' || bits[i] == '1');
+    if (bits[i] != '0' && bits[i] != '1') {
+      throw std::invalid_argument("BitVec::from_string: bad bit '" +
+                                  std::string(1, bits[i]) + "' at position " +
+                                  std::to_string(i));
+    }
     // MSB-first string: character 0 is the highest coordinate.
     v.set(bits.size() - 1 - i, bits[i] == '1');
   }

@@ -58,7 +58,8 @@ class BitVec {
   static BitVec from_words(std::size_t n, std::span<const std::uint64_t> words);
 
   /// Parse an MSB-first string of '0'/'1' characters, e.g. "00010100".
-  /// The string length gives the dimension.
+  /// The string length gives the dimension. Throws std::invalid_argument
+  /// naming the first other character and its position.
   static BitVec from_string(std::string_view bits);
 
   /// Uniformly random vector of dimension n.

@@ -35,14 +35,6 @@ AllSatResult enumerate_models(SolverInterface& solver,
   std::vector<Lit> assumptions = options.assumptions;
   if (guard != lit_undef) assumptions.push_back(guard);
 
-  // Pin the enumeration's interface variables before the first solve: a
-  // preprocessing front-end (SolverConfig::preprocess) must not eliminate
-  // the projection (blocking clauses mention it), the assumption cube, or
-  // the guard. No-op on backends without preprocessing.
-  for (Var v : projection) solver.freeze(v);
-  for (Lit l : options.assumptions) solver.freeze(l.var());
-  if (guard != lit_undef) solver.freeze(guard.var());
-
   obs::Tracer::Span span;
   if (options.tracer != nullptr) {
     span = options.tracer->span(

@@ -40,7 +40,7 @@ Auditor* Auditor::debug_env() {
     AuditOptions opts;
     opts.period = 64;
     const long parsed = std::strtol(env, nullptr, 10);
-    if (parsed > 1) opts.period = static_cast<std::uint64_t>(parsed);
+    if (parsed >= 1) opts.period = static_cast<std::uint64_t>(parsed);
     static Auditor global(opts);
     return &global;
   }();

@@ -47,11 +47,12 @@
 // throws AuditFailure on the first violation. Attach one explicitly with
 // Solver::set_auditor(), or — in debug builds (#ifndef NDEBUG) — set the
 // TP_SAT_AUDIT environment variable to auto-attach a process-wide auditor
-// to every solver at construction (TP_SAT_AUDIT=<n> sets the checkpoint
-// period; any other non-empty, non-"0" value uses the default). The
-// sanitizer CI job runs the whole test suite that way. Checkpoint hooks in
-// the solver are plain pointer tests, compiled in every build type, so an
-// explicitly attached auditor also works under NDEBUG.
+// to every solver at construction (TP_SAT_AUDIT=<n> with n >= 1 sets the
+// checkpoint period, so 1 audits every checkpoint; any other non-empty,
+// non-"0" value uses period 64). The sanitizer CI job runs the whole test
+// suite that way. Checkpoint hooks in the solver are plain pointer tests,
+// compiled in every build type, so an explicitly attached auditor also
+// works under NDEBUG.
 
 #include <atomic>
 #include <cstdint>

@@ -15,9 +15,8 @@ bool Cnf::load_into(SolverInterface& solver) const {
   // Canonicalize each clause before it reaches the solver: drop
   // tautologies outright and merge duplicate literals. DIMACS inputs from
   // other tools routinely carry both, and while the CDCL backend would
-  // canonicalize again, front-end layers that buffer raw clauses (the
-  // preprocessing wrapper) and the proof axiom stream are cleaner when
-  // fed the canonical form.
+  // canonicalize again, the proof axiom stream is cleaner when fed the
+  // canonical form.
   std::vector<Lit> canon;
   for (const auto& c : clauses) {
     canon.assign(c.begin(), c.end());

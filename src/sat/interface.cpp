@@ -3,16 +3,11 @@
 #include <memory>
 
 #include "sat/portfolio.hpp"
-#include "sat/preprocess.hpp"
 #include "sat/solver.hpp"
 
 namespace tp::sat {
 
 SolverInterface::~SolverInterface() = default;
-
-void SolverInterface::freeze(Var) {}
-
-void SolverInterface::prepare() {}
 
 bool SolverInterface::inprocess() { return simplify(); }
 
@@ -21,8 +16,6 @@ std::size_t SolverInterface::retained_bytes() const {
   // header + an average handful of literals per clause.
   return (num_clauses() + num_learnts()) * 40;
 }
-
-bool SolverInterface::var_eliminated(Var) const { return false; }
 
 Status SolverInterface::solve_assuming(const std::vector<Lit>& assumptions,
                                        const SolveLimits& limits) {
@@ -47,13 +40,6 @@ std::unique_ptr<SolverInterface> SolverFactory::make(const SolverOptions& base) 
 std::unique_ptr<SolverInterface> SolverFactory::make(
     SolverBackend backend, const SolverOptions& base,
     const PortfolioOptions& portfolio) {
-  if (base.preprocess) {
-    // The CNF front-end wraps whichever backend was requested; it builds
-    // the inner backend lazily at the first solve, over the preprocessed
-    // and densely renumbered formula (with preprocess cleared, so this
-    // wrapping never recurses).
-    return std::make_unique<PreprocessingSolver>(backend, base, portfolio);
-  }
   switch (backend) {
     case SolverBackend::Single:
       return std::make_unique<Solver>(base);

@@ -125,23 +125,6 @@ struct SolverConfig {
   /// exactly one solver instance (clone() detaches it from the copy) and
   /// must outlive the solver. Incompatible with use_gauss.
   ProofSink* proof = nullptr;
-  /// CNF preprocessing front-end (sat/preprocess.hpp): run bounded
-  /// variable elimination, backward/self-subsuming subsumption, pure- and
-  /// failed-literal probing over the clause database once before the
-  /// first solve, then compact the surviving variables into a dense range
-  /// (sat/remap.hpp). SolverFactory::make wraps the selected backend in a
-  /// PreprocessingSolver when set, so every consumer of the interface
-  /// inherits it. freeze() variables the caller will assume on or mention
-  /// in later-added clauses — frozen variables are never eliminated, only
-  /// renumbered. An unfrozen variable that is used late anyway is
-  /// *restored* on demand (re-introduced together with its stashed
-  /// witness clauses), so freezing is a performance contract, not a
-  /// correctness one. DRAT-safe: each preprocessing step emits the
-  /// add/delete ops that keep an UNSAT proof checkable.
-  bool preprocess = false;
-  /// Failed-literal probing budget, counted in clause-literal visits of
-  /// the preprocessing-time propagation (0 disables probing).
-  std::int64_t preprocess_probe_budget = 2'000'000;
   /// Work budget of one inprocess() round — root-level vivification,
   /// backward subsumption and failed-literal probing between solves —
   /// counted in clause-literal visits / propagations per phase. 0
@@ -153,16 +136,6 @@ struct SolverConfig {
   /// served entries (and at every template rebuild edge). 0 = rebuild
   /// edges only.
   std::uint32_t inprocess_interval = 32;
-  /// Bounded variable elimination keeps an elimination only when the
-  /// number of surviving resolvents is at most the number of clauses it
-  /// removes plus this growth allowance. A small positive allowance lets
-  /// BVE finish off chains whose middle resolvents briefly grow the
-  /// database; large values trade propagation speed for variable count
-  /// (bench_solver regresses noticeably at 16).
-  int preprocess_bve_growth = 4;
-  /// BVE skips variables with more occurrences than this in *both*
-  /// phases (the resolvent cross-product would be quadratic ballast).
-  std::size_t preprocess_occ_limit = 30;
 };
 
 /// Abstract incremental SAT solver with native XOR support. See the file
@@ -186,14 +159,6 @@ class SolverInterface {
   /// Add an XOR constraint (parity of `vars` equals rhs). Returns false
   /// iff trivially unsatisfiable.
   virtual bool add_xor(std::vector<Var> vars, bool rhs) = 0;
-
-  /// Declare a variable part of the external interface: a preprocessing
-  /// front-end (SolverConfig::preprocess) must not eliminate it, because
-  /// the caller intends to assume on it or mention it in later-added
-  /// clauses. Frozen variables may still be *fixed* by unit propagation —
-  /// only structural elimination is ruled out. Default: no-op (backends
-  /// without preprocessing never eliminate variables).
-  virtual void freeze(Var v);
 
   // --- solving ---
 
@@ -221,13 +186,6 @@ class SolverInterface {
   /// Root-level database simplification between solves. Returns okay().
   virtual bool simplify() = 0;
 
-  /// Finalize the formula built so far *now* instead of at the first
-  /// solve(). For plain backends this is a no-op; the preprocessing
-  /// front-end runs its pipeline and constructs the inner backend here,
-  /// so an immutable template master pays for preprocessing exactly once
-  /// and clone()s copy the already-built inner solver. Idempotent.
-  virtual void prepare();
-
   /// Budgeted root-level inprocessing between solves: simplify() plus a
   /// bounded round of backward subsumption and failed-literal probing
   /// (SolverConfig::inprocess_budget work units; budget 0 degrades to
@@ -242,10 +200,6 @@ class SolverInterface {
   /// the quantity the batch template cache bounds with LRU eviction.
   /// Default: a coarse heuristic over num_clauses()/num_learnts().
   virtual std::size_t retained_bytes() const;
-
-  /// True iff a preprocessing front-end structurally eliminated `v` (the
-  /// variable can still be restored on demand). Plain backends: false.
-  virtual bool var_eliminated(Var v) const;
 
   /// Lifetime statistics (aggregated over members for composite backends).
   virtual SolverStats stats() const = 0;

@@ -129,10 +129,7 @@ TraceArchive TraceArchive::load(std::istream& in) {
         throw std::runtime_error("TraceArchive::load: truncated channel '" +
                                  std::string(name_buf) + "'");
       }
-      if (bits.size() != b) {
-        throw std::runtime_error("TraceArchive::load: timeprint width mismatch");
-      }
-      entries.push_back(LogEntry{f2::BitVec::from_string(bits), k});
+      entries.push_back(parse_entry(bits, k, m, b, "TraceArchive::load"));
     }
     ch.restore(first, std::move(entries));
     in.ignore(1, '\n');

@@ -54,13 +54,7 @@ void TemplateReconstructor::build() {
 
   const std::size_t m = rec_.encoding().m();
 
-  // A template master's formula is solved thousands of times, so the
-  // front-end trade-off shifts: a BVE step that *grows* the clause count
-  // taxes every future propagation for a one-time variable saving. Run
-  // the preprocessor NiVER-style — strictly shrinking eliminations only.
-  ReconstructionOptions master_options = options_;
-  master_options.preprocess_bve_growth = 0;
-  solver_ = master_options.make_solver();
+  solver_ = options_.make_solver();
 
   // Selector-RHS rows, so an entry's timeprint is just assumptions on the
   // selectors: A's b raw rows, or with the presolve its rank(A) RREF rows.
@@ -86,30 +80,6 @@ void TemplateReconstructor::build() {
   for (const Property* p : rec_.properties()) {
     ok = p->encode(*solver_, cycle_vars_) && ok;
   }
-
-  // Hard-freeze only the *assumption-bearing* variables: per-entry
-  // assumptions land on the selectors and the totalizer outputs. Cycle
-  // variables stay eliminable — a preprocessing front-end restores them
-  // on demand when an AllSAT blocking clause mentions one, and per-entry
-  // models are reconstructed through the stashed witness clauses, so
-  // signal sets stay bit-identical to the classic path. (Guard literals
-  // are created per entry, after the build, so they are never candidates
-  // for elimination in the first place.)
-  for (Var s : selectors_) solver_->freeze(s);
-  for (Lit o : card_outs_) solver_->freeze(o.var());
-
-  // Preprocess-once: finalize the master now, so per-entry solves (and
-  // every clone() this template serves as a cache master for) start from
-  // the already-preprocessed, densely renumbered formula.
-  solver_->prepare();
-
-  std::int64_t eliminated = 0;
-  for (Var v : cycle_vars_) {
-    if (solver_->var_eliminated(v)) ++eliminated;
-  }
-  static obs::Gauge& cycle_elim = obs::MetricsRegistry::global().gauge(
-      "incremental.cycle_vars_eliminated");
-  cycle_elim.set(eliminated);
 
   encode_ok_ = ok && solver_->okay();
   ++stats_.builds;

@@ -50,6 +50,23 @@ void TraceLog::save(std::ostream& out) const {
   }
 }
 
+LogEntry parse_entry(const std::string& bits, std::size_t k, std::size_t m,
+                     std::size_t b, const char* where) {
+  if (bits.size() != b) {
+    throw std::runtime_error(std::string(where) + ": timeprint width mismatch");
+  }
+  if (k > m) {
+    throw std::runtime_error(std::string(where) + ": change count k=" +
+                             std::to_string(k) + " exceeds trace-cycle length m=" +
+                             std::to_string(m));
+  }
+  try {
+    return LogEntry{f2::BitVec::from_string(bits), k};
+  } catch (const std::invalid_argument& e) {
+    throw std::runtime_error(std::string(where) + ": " + e.what());
+  }
+}
+
 TraceLog TraceLog::load(std::istream& in) {
   std::string header;
   std::getline(in, header);
@@ -70,23 +87,7 @@ TraceLog TraceLog::load(std::istream& in) {
     if (!(in >> bits >> k)) {
       throw std::runtime_error("TraceLog::load: truncated log");
     }
-    if (bits.size() != b) {
-      throw std::runtime_error("TraceLog::load: timeprint width mismatch");
-    }
-    for (const char c : bits) {
-      // BitVec::from_string only asserts on bad characters; a corrupt file
-      // must fail in release builds too.
-      if (c != '0' && c != '1') {
-        throw std::runtime_error("TraceLog::load: bad timeprint bit '" +
-                                 std::string(1, c) + "'");
-      }
-    }
-    if (k > m) {
-      throw std::runtime_error(
-          "TraceLog::load: change count k=" + std::to_string(k) +
-          " exceeds trace-cycle length m=" + std::to_string(m));
-    }
-    log.append({f2::BitVec::from_string(bits), k});
+    log.append(parse_entry(bits, k, m, b, "TraceLog::load"));
   }
   // The format is exactly n entries; anything else is a corrupt or
   // mislabelled file, not an extended one.

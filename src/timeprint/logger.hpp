@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <string>
 #include <vector>
 
 #include "f2/bitvec.hpp"
@@ -43,6 +44,14 @@ class Logger {
  private:
   const TimestampEncoding* enc_;
 };
+
+/// One saved entry of the text log formats (TraceLog, TraceArchive): a
+/// timeprint of `bits` and change count k, from a log of m-cycle
+/// trace-cycles and b-bit timeprints. Throws std::runtime_error prefixed
+/// with `where` when the width is not b, a character is not 0/1, or
+/// k > m.
+LogEntry parse_entry(const std::string& bits, std::size_t k, std::size_t m,
+                     std::size_t b, const char* where);
 
 /// A sequence of log entries, one per back-to-back trace-cycle, plus
 /// bit-accounting. This is the "central database" of Figure 3.

@@ -21,21 +21,10 @@ std::vector<std::string> tokenize(std::string_view text) {
 }
 
 std::size_t parse_number(const std::string& text, const std::string& token) {
-  // std::stoull is more liberal than the grammar: it skips whitespace and
-  // accepts a sign, silently wrapping "-3" to 2^64-3. Only an unsigned
-  // digit string is a number here.
-  if (token.empty() || token[0] < '0' || token[0] > '9') {
-    fail(text, "expected a number, got '" + token + "'");
-  }
   try {
-    std::size_t pos = 0;
-    const unsigned long long v = std::stoull(token, &pos);
-    if (pos != token.size()) fail(text, "trailing characters in number '" + token + "'");
-    return static_cast<std::size_t>(v);
-  } catch (const std::invalid_argument&) {
-    fail(text, "expected a number, got '" + token + "'");
-  } catch (const std::out_of_range&) {
-    fail(text, "number out of range: '" + token + "'");
+    return core::parse_number(token);
+  } catch (const std::invalid_argument& e) {
+    fail(text, e.what());
   }
 }
 
@@ -132,6 +121,26 @@ std::unique_ptr<Property> parse_properties(std::string_view text) {
   }
   if (parts.size() == 1) return std::move(parts[0]);
   return std::make_unique<Conjunction>(std::move(parts));
+}
+
+std::size_t parse_number(std::string_view token) {
+  // std::stoull is more liberal than the grammar: it skips whitespace and
+  // accepts a sign, silently wrapping "-3" to 2^64-3. Only an unsigned
+  // digit string is a number here.
+  const std::string tok(token);
+  if (tok.empty() || tok[0] < '0' || tok[0] > '9') {
+    throw std::invalid_argument("expected a number, got '" + tok + "'");
+  }
+  try {
+    std::size_t pos = 0;
+    const unsigned long long v = std::stoull(tok, &pos);
+    if (pos != tok.size()) {
+      throw std::invalid_argument("trailing characters in number '" + tok + "'");
+    }
+    return static_cast<std::size_t>(v);
+  } catch (const std::out_of_range&) {
+    throw std::invalid_argument("number out of range: '" + tok + "'");
+  }
 }
 
 }  // namespace tp::core

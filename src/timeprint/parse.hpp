@@ -37,4 +37,10 @@ std::unique_ptr<Property> parse_property(std::string_view text);
 /// (a single property parses to itself). Empty input is invalid.
 std::unique_ptr<Property> parse_properties(std::string_view text);
 
+/// Parse an unsigned decimal number: digits only (no sign, whitespace or
+/// trailing characters) that fit in std::size_t. Throws
+/// std::invalid_argument naming the token otherwise. The numbers of the
+/// property language and of tpr's command line are read through it.
+std::size_t parse_number(std::string_view token);
+
 }  // namespace tp::core

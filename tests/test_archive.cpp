@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "timeprint/archive.hpp"
 
@@ -115,6 +117,22 @@ TEST(TraceArchive, LoadRejectsGarbage) {
       "channel x m=8 b=4 cap=0 first=0 n=2\n"
       "0101 1\n");
   EXPECT_THROW(TraceArchive::load(truncated), std::runtime_error);
+}
+
+TEST(TraceArchive, LoadRejectsCorruptEntries) {
+  // Every entry passes the check TraceLog::load applies: b characters of
+  // 0/1 and a change count no larger than m.
+  const std::string head =
+      "timeprint-archive channels=1\n"
+      "channel x m=8 b=4 cap=0 first=0 n=1\n";
+  std::istringstream bad_bit(head + "1z10 2\n");
+  EXPECT_THROW(TraceArchive::load(bad_bit), std::runtime_error);
+  std::istringstream bad_k(head + "1010 99\n");
+  EXPECT_THROW(TraceArchive::load(bad_k), std::runtime_error);
+  std::istringstream bad_width(head + "10101 2\n");
+  EXPECT_THROW(TraceArchive::load(bad_width), std::runtime_error);
+  std::istringstream edge(head + "1010 8\n");
+  EXPECT_NO_THROW(TraceArchive::load(edge));
 }
 
 TEST(TraceArchive, EndToEndWithStreamingLogger) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
 #include <unordered_set>
 
 #include "f2/bitvec.hpp"
@@ -47,6 +49,20 @@ TEST(BitVec, FromStringMatchesPaperFigure4) {
   EXPECT_EQ(ts1.size(), 8u);
   EXPECT_EQ(ts1.to_uint(), 0x14u);
   EXPECT_EQ(ts1.to_string(), "00010100");
+}
+
+TEST(BitVec, FromStringRejectsOtherCharacters) {
+  // Timeprint text arrives from files and the command line, so a bad
+  // character must be an error in every build type.
+  try {
+    BitVec::from_string("0000000z");
+    FAIL() << "from_string accepted 'z'";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("'z' at position 7"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(BitVec::from_string("01 1"), std::invalid_argument);
+  EXPECT_THROW(BitVec::from_string("2"), std::invalid_argument);
 }
 
 TEST(BitVec, Figure4TimeprintAggregation) {

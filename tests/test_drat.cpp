@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "f2/bitvec.hpp"
 #include "sat/allsat.hpp"
@@ -461,6 +463,22 @@ TEST(Auditor, PeriodSkipsCheckpoints) {
   add_pigeonhole(s, 4, 3);
   EXPECT_EQ(s.solve(), Status::Unsat);
   EXPECT_GT(auditor.checkpoints_seen(), auditor.audits_run());
+}
+
+TEST(Auditor, DebugEnvPeriodIsTheGivenNumber) {
+  // debug_env() reads TP_SAT_AUDIT once per process, so each setting needs
+  // a process of its own: this run sees the variable as the caller set it,
+  // and the audit.env_period_one ctest entry reruns the test with
+  // TP_SAT_AUDIT=1.
+  const char* env = std::getenv("TP_SAT_AUDIT");
+  const Auditor* auditor = Auditor::debug_env();
+  if (env == nullptr || env[0] == '\0' || std::string(env) == "0") {
+    EXPECT_EQ(auditor, nullptr);
+    return;
+  }
+  ASSERT_NE(auditor, nullptr);
+  const unsigned long long n = std::strtoull(env, nullptr, 10);
+  EXPECT_EQ(auditor->options().period, n >= 1 ? n : 64u);
 }
 
 // ------------------------------------------ certification fuzz ----

@@ -3,10 +3,10 @@
 // over random encodings and random (TP, k) streams, across encoding knobs
 // and properties, plus the template lifecycle edges (k = 0, k > k_max
 // rebuild, k > m) and the batch engine's incremental mode. The warm
-// template master section at the bottom drives the preprocess-once
-// front-end, the budgeted inprocessing schedule and the bounded
-// per-worker template cache (LRU eviction) through the same differential
-// gates, including a 10k-entry soak.
+// template master section at the bottom drives the budgeted inprocessing
+// schedule, the portfolio backend and the bounded per-worker template
+// cache (LRU eviction) through the same differential gates, including a
+// 10k-entry soak.
 
 #include <gtest/gtest.h>
 
@@ -354,20 +354,17 @@ TEST(Incremental, LearntClauseCapitalAccumulates) {
 }
 
 // ---------------------------------------------------------------------------
-// Warm template masters: the preprocess-once front-end must be invisible in
-// the reconstructed signal sets.
+// Warm template masters: inprocessing, the backend and cache eviction must
+// be invisible in the reconstructed signal sets.
 // ---------------------------------------------------------------------------
 
-TEST(Incremental, TemplatePreprocessParityAcrossConfigsAndEdges) {
-  // Four-way differential — template+preprocess vs raw template vs fresh
-  // vs brute force — across the XOR/cardinality configurations, over a
-  // stream that walks the lifecycle edges: k = 0, the k > k_max rebuild,
-  // frequently-UNSAT random timeprints, and AllSAT guard retirement
-  // *after* the rebuild. The CNF-XOR row is the load-bearing one: without
-  // the native XOR engine nothing implicitly freezes the cycle
-  // variables, so elimination and per-entry witness restoration actually
-  // run. inprocess_interval = 2 forces budgeted inprocessing rounds
-  // mid-stream on both template variants.
+TEST(Incremental, TemplateParityAcrossConfigsAndEdges) {
+  // Three-way differential — template vs fresh vs brute force — across
+  // the XOR/cardinality configurations, over a stream that walks the
+  // lifecycle edges: k = 0, the k > k_max rebuild, frequently-UNSAT random
+  // timeprints, and AllSAT guard retirement *after* the rebuild.
+  // inprocess_interval = 2 forces budgeted inprocessing rounds
+  // mid-stream.
   struct Knobs {
     bool native_xor;
     bool use_gauss;
@@ -392,44 +389,35 @@ TEST(Incremental, TemplatePreprocessParityAcrossConfigsAndEdges) {
   entries.push_back(logger.log(Signal::random_with_changes(enc.m(), 1, rng)));
 
   for (const Knobs& kn : knob_sets) {
-    ReconstructionOptions raw_opts;
-    raw_opts.native_xor = kn.native_xor;
-    raw_opts.use_gauss = kn.use_gauss;
-    raw_opts.card_encoding = kn.card;
-    raw_opts.inprocess_interval = 2;
-    ReconstructionOptions pre_opts = raw_opts;
-    pre_opts.preprocess = true;
+    ReconstructionOptions opts;
+    opts.native_xor = kn.native_xor;
+    opts.use_gauss = kn.use_gauss;
+    opts.card_encoding = kn.card;
+    opts.inprocess_interval = 2;
 
     Reconstructor fresh(enc);
-    TemplateReconstructor raw_tmpl(enc, {}, raw_opts, /*k_max=*/2);
-    TemplateReconstructor pre_tmpl(enc, {}, pre_opts, /*k_max=*/2);
+    TemplateReconstructor tmpl(enc, {}, opts, /*k_max=*/2);
     for (std::size_t i = 0; i < entries.size(); ++i) {
-      const ReconstructionResult p = pre_tmpl.reconstruct(entries[i]);
-      const ReconstructionResult t = raw_tmpl.reconstruct(entries[i]);
-      const ReconstructionResult f = fresh.reconstruct(entries[i], raw_opts);
-      ASSERT_TRUE(p.complete()) << "entry " << i;
+      const ReconstructionResult t = tmpl.reconstruct(entries[i]);
+      const ReconstructionResult f = fresh.reconstruct(entries[i], opts);
       ASSERT_TRUE(t.complete()) << "entry " << i;
       ASSERT_TRUE(f.complete()) << "entry " << i;
       const std::set<std::string> expect = signal_set(f.signals);
-      EXPECT_EQ(signal_set(p.signals), expect)
-          << "native_xor=" << kn.native_xor << " entry " << i;
       EXPECT_EQ(signal_set(t.signals), expect)
           << "native_xor=" << kn.native_xor << " entry " << i;
       EXPECT_EQ(expect,
                 signal_set(Reconstructor::brute_force(enc, entries[i])))
           << "entry " << i;
     }
-    EXPECT_EQ(pre_tmpl.stats().builds, 2);  // initial + the k = 4 rebuild
-    EXPECT_GT(pre_tmpl.stats().inprocess_rounds, 0);
-    EXPECT_GT(raw_tmpl.stats().inprocess_rounds, 0);
+    EXPECT_EQ(tmpl.stats().builds, 2);  // initial + the k = 4 rebuild
+    EXPECT_GT(tmpl.stats().inprocess_rounds, 0);
   }
 }
 
-TEST(Incremental, TemplatePreprocessMatchesFreshOnPortfolioBackend) {
+TEST(Incremental, TemplateMatchesFreshOnPortfolioBackend) {
   const TimestampEncoding enc =
       TimestampEncoding::random_constrained_auto(12, 3, 29);
   ReconstructionOptions opts;
-  opts.preprocess = true;
   opts.solver_backend = sat::SolverBackend::Portfolio;
   opts.portfolio_members = 2;
   Reconstructor fresh(enc);
@@ -448,9 +436,8 @@ TEST(Incremental, BatchEvictionKeepsParityWithFreshBatch) {
   // A one-byte cache bound evicts every template the moment a worker
   // returns it, so each entry is served by a cold re-clone of the master
   // — the adversarial schedule for guard retirement (every guard retires
-  // into a template that is then destroyed) and for the preprocess
-  // front-end (model reconstruction state must live in the master, not
-  // the evicted clone). Results must still match the fresh batch exactly.
+  // into a template that is then destroyed). Results must still match the
+  // fresh batch exactly.
   const TimestampEncoding enc =
       TimestampEncoding::random_constrained_auto(14, 3, 37);
   BatchReconstructor batch(enc);
@@ -461,7 +448,6 @@ TEST(Incremental, BatchEvictionKeepsParityWithFreshBatch) {
   fresh_opts.num_threads = 4;
   BatchOptions evict_opts = fresh_opts;
   evict_opts.recon.incremental = true;
-  evict_opts.recon.preprocess = true;
   evict_opts.template_cache_bytes = 1;
 
   const auto& reg = obs::MetricsRegistry::global();

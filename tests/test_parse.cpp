@@ -77,6 +77,15 @@ TEST(Parse, RejectsOverflowingNumbers) {
                std::invalid_argument);
 }
 
+TEST(Parse, NumbersAreUnsignedDigitStrings) {
+  EXPECT_EQ(parse_number("0"), 0u);
+  EXPECT_EQ(parse_number("18446744073709551615"), 18446744073709551615u);
+  for (const char* bad : {"", "4x", "-1", "+1", " 1", "abc", "1.5",
+                          "18446744073709551616"}) {
+    EXPECT_THROW(parse_number(bad), std::invalid_argument) << "'" << bad << "'";
+  }
+}
+
 TEST(Parse, Errors) {
   EXPECT_THROW(parse_property(""), std::invalid_argument);
   EXPECT_THROW(parse_property("bogus"), std::invalid_argument);

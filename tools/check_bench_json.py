@@ -39,26 +39,12 @@ config is a regression in coverage); rows present only in the current
 report are reported but pass (new configs are fine).
 
 Baseline mode also compares the solver backend identity: the report's
-"config.backend" / "config.members" / "config.preprocess" (absent =
-"single" / 1 / "off", the values every report implied before the
-portfolio backend and the CNF preprocessing front-end existed) must equal
-the baseline's, so a portfolio run — or a run whose preprocess axis
-differs — can never silently pollute a baseline diff; the numbers are
-not comparable across backends or front-end modes.
-
-When a report carries preprocessed twin rows ("<name>_pre" next to
-"<name>", the --preprocess both mode of bench_solver and
-bench_incremental), baseline mode also prints the front-end gain per
-pair — the conflict reduction and the seconds speedup of the _pre row
-over its raw sibling — and fails if a _pre row's fingerprint differs
-from its raw sibling's (the front-end must change search effort, never
-answers). For bench_incremental pairs the in-run warm-template ratio
-(_pre template_entries_per_sec over the raw sibling's) is additionally
-gated against the committed baseline's same ratio: machine speed cancels
-out of the ratio, so a collapse there means the preprocess-once template
-path itself regressed. The underprovisioned flag skips this gate like
-every other throughput gate. Any row that records
-"identical_signal_sets": false fails schema validation outright.
+"config.backend" / "config.members" (absent = "single" / 1, the values
+every report implied before the portfolio backend existed) must equal
+the baseline's, so a portfolio run can never silently pollute a
+baseline diff; the numbers are not comparable across backends. Any row
+that records "identical_signal_sets": false fails schema validation
+outright.
 
 Exits non-zero with a per-file message on the first violation.
 No third-party dependencies — CI runs it with a stock python3.
@@ -141,61 +127,10 @@ def row_key(row, index):
 
 
 def backend_identity(report):
-    """(backend, members, preprocess) of a report; absent keys mean the
-    single solver with the front-end off — what every report implied
-    before those axes existed."""
+    """(backend, members) of a report; absent keys mean the single
+    solver — what every report implied before the portfolio existed."""
     config = report.get("config", {})
-    return (config.get("backend", "single"), config.get("members", 1),
-            config.get("preprocess", "off"))
-
-
-def front_end_gain_lines(rows):
-    """Per ("<name>", "<name>_pre") pair: conflict delta and speedup.
-
-    Raises BaselineError when a _pre row's fingerprint differs from its
-    raw sibling's — the front-end may only change search effort.
-    """
-    lines = []
-    for key in sorted(rows):
-        if not key.endswith("_pre"):
-            continue
-        raw = rows.get(key[:-len("_pre")])
-        pre = rows[key]
-        if raw is None:
-            continue
-        raw_fp = raw.get("fingerprint")
-        if raw_fp is not None and pre.get("fingerprint") != raw_fp:
-            raise BaselineError(
-                f"row {key!r}: fingerprint {pre.get('fingerprint')!r} != "
-                f"raw sibling {raw_fp!r} (the front-end changed answers)")
-        parts = []
-        rc, pc = raw.get("conflicts"), pre.get("conflicts")
-        if isinstance(rc, numbers.Real) and isinstance(pc, numbers.Real) and rc:
-            parts.append(f"conflicts {rc:,.0f} -> {pc:,.0f} "
-                         f"({(1 - pc / rc) * 100:+.0f}% saved)")
-        rs, ps = raw.get("seconds"), pre.get("seconds")
-        if isinstance(rs, numbers.Real) and isinstance(ps, numbers.Real) and ps:
-            parts.append(f"speedup x{rs / ps:.2f}")
-        ratio = template_pre_ratio(raw, pre)
-        if ratio is not None:
-            parts.append(f"template entries/sec x{ratio:.2f}")
-        if parts:
-            lines.append(f"  front-end {key[:-len('_pre')]}: "
-                         + ", ".join(parts))
-    return lines
-
-
-def template_pre_ratio(raw, pre):
-    """Preprocessed-template throughput over the raw template's, for a
-    ("<name>", "<name>_pre") bench_incremental row pair. None when either
-    row lacks the rate (e.g. bench_solver pairs)."""
-    raw_eps = raw.get("template_entries_per_sec")
-    pre_eps = pre.get("template_entries_per_sec")
-    if not isinstance(raw_eps, numbers.Real) or not raw_eps:
-        return None
-    if not isinstance(pre_eps, numbers.Real):
-        return None
-    return pre_eps / raw_eps
+    return (config.get("backend", "single"), config.get("members", 1))
 
 
 def check_baseline(base, current, min_ratio):
@@ -203,7 +138,7 @@ def check_baseline(base, current, min_ratio):
         raise BaselineError(
             f"identity mismatch: report ran {backend_identity(current)} but "
             f"baseline is {backend_identity(base)} — numbers are not "
-            "comparable across backends or preprocess modes")
+            "comparable across backends")
 
     base_rows = {row_key(r, i): r for i, r in enumerate(base["rows"])}
     cur_rows = {row_key(r, i): r for i, r in enumerate(current["rows"])}
@@ -242,37 +177,9 @@ def check_baseline(base, current, min_ratio):
                     f"{ratio:.2f}x of baseline (< {min_ratio:.2f}x): "
                     f"{base_rate:,.0f} -> {cur_rate:,.0f}")
 
-    # Warm-template front-end gate: for every committed ("<name>",
-    # "<name>_pre") pair, the preprocessed template's throughput advantage
-    # over the raw template (template_entries_per_sec ratio) must not
-    # collapse relative to the committed baseline's. The ratio is taken
-    # within one run, so it is robust to machine speed; min_ratio supplies
-    # the same noise allowance as the absolute gates.
-    for key in sorted(base_rows):
-        if not key.endswith("_pre"):
-            continue
-        raw_key = key[:-len("_pre")]
-        if raw_key not in base_rows or raw_key not in cur_rows:
-            continue
-        base_ratio = template_pre_ratio(base_rows[raw_key], base_rows[key])
-        cur_ratio = template_pre_ratio(cur_rows[raw_key], cur_rows[key])
-        if base_ratio is None or cur_ratio is None:
-            continue
-        lines.append(f"  {raw_key}: template+preprocess ratio "
-                     f"x{base_ratio:.2f} -> x{cur_ratio:.2f}")
-        if skip_ratio:
-            continue
-        if cur_ratio < min_ratio * base_ratio:
-            raise BaselineError(
-                f"row {key!r}: template+preprocess ratio regressed to "
-                f"x{cur_ratio:.2f} vs baseline x{base_ratio:.2f} "
-                f"(< {min_ratio:.2f} of baseline) — the warm-template "
-                "front-end payoff collapsed")
-
     extra = sorted(cur_rows.keys() - base_rows.keys())
     if extra:
         lines.append(f"  new rows (not in baseline): {extra}")
-    lines.extend(front_end_gain_lines(cur_rows))
     return lines
 
 

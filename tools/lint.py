@@ -203,7 +203,7 @@ def rule_solver_interface_only(sf: SourceFile) -> List[Finding]:
     Reconstruction code builds backends via sat::SolverFactory and talks
     to sat::SolverInterface only; naming the concrete sat::Solver (or
     including its header) couples callers to one backend and bypasses the
-    portfolio/preprocessing wrappers.
+    portfolio backend.
     """
     if sf.rel.startswith("src/sat/"):
         return []
@@ -224,45 +224,6 @@ def rule_solver_interface_only(sf: SourceFile) -> List[Finding]:
                 sf.path, idx, "solver-interface-only",
                 "concrete sat::Solver use outside src/sat/; go through "
                 "SolverInterface"))
-    return out
-
-
-PREPROCESS_TYPE_RE = re.compile(
-    r"\b(?:sat::)?(Preprocessor|PreprocessingSolver)\b")
-PREPROCESS_INCLUDE_RE = re.compile(r'#\s*include\s*"sat/preprocess\.hpp"')
-
-
-def rule_preprocess_gateway(sf: SourceFile) -> List[Finding]:
-    """Outside src/sat/, the CNF front-end is reached through the factory.
-
-    SolverFactory::make wraps any backend in PreprocessingSolver when
-    SolverConfig::preprocess is set, and that wrapper owns the variable
-    remapping, witness restoration and DRAT bookkeeping as one unit.
-    Constructing sat::Preprocessor or sat::PreprocessingSolver directly
-    (or including sat/preprocess.hpp) elsewhere bypasses the factory and
-    can hand callers inner literals that no longer mean what the outer
-    encoding thinks they mean.
-    """
-    if sf.rel.startswith("src/sat/"):
-        return []
-    out = []
-    raw_lines = sf.raw_lines
-    for idx, line in enumerate(sf.code_lines, start=1):
-        # Include paths are string literals, blanked in the code shadow —
-        # match the raw line, gated on the code line still being a real
-        # preprocessor include (not a commented-out one).
-        if (re.match(r"\s*#\s*include\b", line)
-                and PREPROCESS_INCLUDE_RE.search(raw_lines[idx - 1])):
-            out.append(Finding(
-                sf.path, idx, "preprocess-gateway",
-                'include of "sat/preprocess.hpp" outside src/sat/; set '
-                "SolverConfig::preprocess and build via SolverFactory"))
-        m = PREPROCESS_TYPE_RE.search(line)
-        if m is not None:
-            out.append(Finding(
-                sf.path, idx, "preprocess-gateway",
-                f"direct sat::{m.group(1)} use outside src/sat/; set "
-                "SolverConfig::preprocess and build via SolverFactory"))
     return out
 
 
@@ -355,7 +316,6 @@ def rule_naked_new(sf: SourceFile) -> List[Finding]:
 RULES: List[Callable[[SourceFile], List[Finding]]] = [
     rule_raw_mutex,
     rule_solver_interface_only,
-    rule_preprocess_gateway,
     rule_nolint_reason,
     rule_options_const_ref,
     rule_naked_new,

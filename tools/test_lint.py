@@ -113,43 +113,6 @@ class SolverInterfaceTest(LintFixture):
         self.assertEqual(findings, [])
 
 
-class PreprocessGatewayTest(LintFixture):
-    def test_direct_preprocessing_solver_outside_sat_is_flagged(self):
-        findings = self.run_lint(
-            "src/timeprint/x.cpp", "sat::PreprocessingSolver s(b, o, p);\n")
-        self.assertEqual(self.rules_of(findings), ["preprocess-gateway"])
-
-    def test_direct_preprocessor_outside_sat_is_flagged(self):
-        findings = self.run_lint(
-            "src/timeprint/x.cpp", "sat::Preprocessor pre(cfg);\n")
-        self.assertEqual(self.rules_of(findings), ["preprocess-gateway"])
-
-    def test_preprocess_header_include_outside_sat_is_flagged(self):
-        findings = self.run_lint(
-            "src/timeprint/x.cpp", '#include "sat/preprocess.hpp"\n')
-        self.assertEqual(self.rules_of(findings), ["preprocess-gateway"])
-
-    def test_commented_out_include_passes(self):
-        findings = self.run_lint(
-            "src/timeprint/x.cpp", '// #include "sat/preprocess.hpp"\n')
-        self.assertEqual(findings, [])
-
-    def test_factory_route_passes(self):
-        findings = self.run_lint(
-            "src/timeprint/x.cpp",
-            "sat::SolverOptions o;\no.preprocess = true;\n"
-            "auto s = sat::SolverFactory::make(b, o);\n"
-            "sat::PreprocessStats ps;\n")
-        self.assertEqual(findings, [])
-
-    def test_inside_sat_is_exempt(self):
-        findings = self.run_lint(
-            "src/sat/x.cpp",
-            '#include "sat/preprocess.hpp"\n'
-            "sat::PreprocessingSolver s(b, o, p);\nPreprocessor pre(cfg);\n")
-        self.assertEqual(findings, [])
-
-
 class NolintReasonTest(LintFixture):
     def test_bare_nolint_is_flagged(self):
         findings = self.run_lint("src/foo/a.hpp", "int x;  // NOLINT\n")
