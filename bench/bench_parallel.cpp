@@ -5,8 +5,8 @@
 //     decoded with BatchReconstructor::reconstruct_all at 1/2/4/8 threads.
 //  2. Single-instance split: one underdetermined entry (k above the
 //     encoding's uniqueness range, so the preimage is wide) decoded with
-//     reconstruct_split, where cube-and-conquer guiding paths parallelise
-//     a single AllSAT call.
+//     reconstruct_split, where cube-and-conquer over a balanced cube plan
+//     parallelises a single AllSAT call.
 //
 // For every thread count the merged output is checked byte-for-byte
 // against the single-threaded run — determinism is part of the contract,
@@ -58,6 +58,7 @@ void report_line(std::size_t threads, double seconds, double base_seconds,
 
 int main(int argc, char** argv) {
   bench::JsonReport report("parallel", argc, argv);
+  bench::record_host(report.config());
   const std::size_t kThreads[] = {1, 2, 4, 8};
 
   // ---- workload 1: independent entries ---------------------------------

@@ -291,6 +291,11 @@ int main(int argc, char** argv) {
       }
       core::Signal s(enc.m());
       for (std::size_t i = 0; i < bits.size(); ++i) {
+        if (bits[i] != '0' && bits[i] != '1') {
+          std::fprintf(stderr, "<signal-bits>: bad bit '%c' at position %zu\n",
+                       bits[i], i);
+          return 2;
+        }
         if (bits[i] == '1') s.set_change(i);
       }
       const core::LogEntry e = core::Logger(enc).log(s);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <deque>
 #include <memory>
 #include <stdexcept>
@@ -23,15 +24,76 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// Auto guiding-path depth: 2^6 = 64 cubes balance load for any sane
-/// worker count while staying instance-determined (never thread-count
-/// determined — that would change the merged output with parallelism).
+/// Auto plan size: 2^6 = 64 cubes balance load for any sane worker count
+/// while staying instance-determined (never thread-count determined — that
+/// would change the merged output with parallelism).
 constexpr std::size_t kAutoCubeVars = 6;
 
 std::size_t resolve_threads(std::size_t requested) {
   if (requested != 0) return requested;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;
+}
+
+/// One cube of a split: cycles [0, prefix) are fixed, those in `ones` to a
+/// change and the rest to none.
+struct CubePlanEntry {
+  std::size_t prefix = 0;
+  std::vector<std::size_t> ones;  ///< ascending, at most k
+  double weight = 0.0;            ///< log C(m - prefix, k - |ones|)
+};
+
+/// The cube plan for |x| = k over m cycles, k ≤ m. Starting from the whole
+/// space, it splits the cube that can hold the most k-subsets on its next
+/// cycle, into "change there" and "no change there", until it has `target`
+/// cubes or no cube has a free cycle left (one with no change left to
+/// place, or with every remaining cycle a change, is a single completion).
+/// A split blind to |x| = k is lopsided: on six evenly spaced cycles, the
+/// all-zero cube holds half of a k = 5, m = 48 preimage. The leaves
+/// partition the space, the plan depends only on (m, k, target), and it
+/// comes back largest cube first, ties by plan index.
+std::vector<CubePlanEntry> plan_cubes(std::size_t m, std::size_t k, std::size_t target) {
+  // log n! by summation, which never overflows (std::lgamma would too, but
+  // it writes the global signgam, a race between concurrent splits).
+  std::vector<double> log_fact(m + 1, 0.0);
+  for (std::size_t n = 2; n <= m; ++n) {
+    log_fact[n] = log_fact[n - 1] + std::log(static_cast<double>(n));
+  }
+  std::vector<CubePlanEntry> plan(1);
+  // Max-heap of splittable plan indices: largest weight, then lowest index.
+  auto lighter = [&plan](std::size_t a, std::size_t b) {
+    return plan[a].weight < plan[b].weight ||
+           (plan[a].weight == plan[b].weight && a > b);
+  };
+  std::vector<std::size_t> heap;
+  auto offer = [&](std::size_t i) {
+    CubePlanEntry& c = plan[i];
+    const std::size_t free = m - c.prefix;
+    const std::size_t left = k - c.ones.size();
+    // C(free, left) = C(free, free - left); one form rounds both alike.
+    const std::size_t r = std::min(left, free - left);
+    c.weight = log_fact[free] - log_fact[r] - log_fact[free - r];
+    if (r == 0) return;  // a single completion, nothing to split
+    heap.push_back(i);
+    std::push_heap(heap.begin(), heap.end(), lighter);
+  };
+  offer(0);
+  while (plan.size() < target && !heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), lighter);
+    const std::size_t i = heap.back();
+    heap.pop_back();
+    CubePlanEntry change = plan[i];
+    change.ones.push_back(change.prefix++);
+    ++plan[i].prefix;  // plan[i] keeps the "no change" half
+    plan.push_back(std::move(change));
+    offer(i);
+    offer(plan.size() - 1);
+  }
+  std::stable_sort(plan.begin(), plan.end(),
+                   [](const CubePlanEntry& a, const CubePlanEntry& b) {
+                     return a.weight > b.weight;
+                   });
+  return plan;
 }
 
 }  // namespace
@@ -275,19 +337,14 @@ ReconstructionResult BatchReconstructor::reconstruct_split(
   }
 
   const std::size_t m = cycle_vars.size();
-  const std::size_t g =
-      std::min(options.cube_vars != 0 ? options.cube_vars : kAutoCubeVars, m);
-  const std::size_t ncubes = std::size_t{1} << g;
-
-  // Guiding-path variables: evenly spaced cycle variables, so the cubes
-  // slice the trace-cycle rather than only its prefix.
-  std::vector<sat::Var> split;
-  split.reserve(g);
-  for (std::size_t j = 0; j < g; ++j) split.push_back(cycle_vars[j * m / g]);
+  const std::size_t g = options.cube_vars != 0 ? options.cube_vars : kAutoCubeVars;
+  const std::vector<CubePlanEntry> plan = plan_cubes(m, entry.k, std::size_t{1} << g);
+  const std::size_t ncubes = plan.size();
 
   struct Cube {
     sat::AllSatResult models;
     sat::SolverStats stats;
+    double start = 0.0;  // split-relative second its enumeration began
     bool done = false;
   };
   std::vector<Cube> cubes(ncubes);
@@ -300,9 +357,14 @@ ReconstructionResult BatchReconstructor::reconstruct_split(
   std::uint64_t found = 0;
 
   {
+    // Tasks take cubes in plan order whatever order the pool runs them in,
+    // so the largest cubes start first and the leading cubes that the
+    // prefix rule below waits on finish early.
+    std::atomic<std::size_t> next_cube{0};
     util::ThreadPool pool(resolve_threads(options.num_threads));
-    for (std::size_t ci = 0; ci < ncubes; ++ci) {
-      pool.submit([&, ci] {
+    for (std::size_t task = 0; task < ncubes; ++task) {
+      pool.submit([&] {
+        const std::size_t ci = next_cube.fetch_add(1);
         // Fold an external cancellation into the shared token (polled at
         // cube granularity; the token below is polled per conflict).
         if (ropts.limits.interrupt != nullptr &&
@@ -319,10 +381,13 @@ ReconstructionResult BatchReconstructor::reconstruct_split(
           // One global deadline: each cube gets what is left of it.
           as.limits.max_seconds = ropts.limits.max_seconds - elapsed();
         }
-        as.assumptions.reserve(g);
-        for (std::size_t j = 0; j < g; ++j) {
-          as.assumptions.push_back(
-              sat::Lit(split[j], /*negated=*/((ci >> j) & 1) == 0));
+        const CubePlanEntry& spec = plan[ci];
+        as.assumptions.reserve(spec.prefix);
+        auto one = spec.ones.begin();
+        for (std::size_t j = 0; j < spec.prefix; ++j) {
+          const bool change = one != spec.ones.end() && *one == j;
+          if (change) ++one;
+          as.assumptions.push_back(sat::Lit(cycle_vars[j], /*negated=*/!change));
         }
 
         Cube cube;
@@ -332,6 +397,7 @@ ReconstructionResult BatchReconstructor::reconstruct_split(
           cube.models.final_status = sat::Status::Unknown;
         } else {
           const std::unique_ptr<sat::SolverInterface> worker = base->clone();
+          cube.start = elapsed();
           cube.models = sat::enumerate_models(*worker, cycle_vars, as);
           cube.stats = worker->stats();
         }
@@ -374,7 +440,7 @@ ReconstructionResult BatchReconstructor::reconstruct_split(
     pool.wait_idle();
   }
 
-  // Deterministic merge: cube index first, discovery order within a cube.
+  // Deterministic merge: plan order first, discovery order within a cube.
   bool any_unknown = false;
   for (const Cube& c : cubes) {
     result.stats += c.stats;
@@ -390,14 +456,14 @@ ReconstructionResult BatchReconstructor::reconstruct_split(
         if (model[j]) s.set_change(j);
       }
       result.signals.push_back(std::move(s));
-      result.seconds_to_each.push_back(c.models.seconds_to_model[i]);
+      result.seconds_to_each.push_back(c.start + c.models.seconds_to_model[i]);
     }
   }
   if (ropts.verify_models) {
     // The split path materializes signals in its own merge loop, so it
     // carries its own verification hook (the other engines verify inside
     // Reconstructor/TemplateReconstructor). Also catches a cube overlap —
-    // two cubes can only yield the same signal if the guiding-path
+    // two cubes can only yield the same signal if the cube plan's
     // assumptions were mis-built — via the duplicate check.
     require_verified(rec_.encoding(), entry, result.signals, rec_.properties());
   }

@@ -10,15 +10,18 @@
 //     work-stealing thread pool, one SR instance per entry.
 //  2. reconstruct_split(): a single hard instance is split
 //     cube-and-conquer style — the SR encoding is built once, the solver
-//     is clone()d per cube, and each clone enumerates the subspace fixed
-//     by its guiding-path assumptions over cycle variables. Disjoint
-//     cubes partition the model space, so the per-cube enumerations
-//     merge without deduplication.
+//     is clone()d per cube, and each clone enumerates the subspace its
+//     cube fixes under assumptions. A cube fixes a prefix of the cycle
+//     variables; the plan keeps splitting whichever cube can hold the
+//     most k-change signals, C(m − prefix, changes left), on its next
+//     cycle, so no cube dominates the preimage. Disjoint cubes partition
+//     the model space, so the per-cube enumerations merge without
+//     deduplication.
 //
 // Determinism: results merge by entry index (then per-entry discovery
 // order) or by cube index (then per-cube discovery order), never by
-// completion order, and the cube set depends only on the instance and
-// options — so the reconstructed signals and final status are identical
+// completion order, and the cube plan depends only on (m, k, cube_vars)
+// — so the reconstructed signals and final status are identical
 // regardless of thread count or scheduling. Only the timing fields
 // (seconds_*) vary run to run. Resource limits (max_seconds,
 // max_conflicts, an external interrupt) trade this determinism for
@@ -66,10 +69,11 @@ struct BatchOptions {
   ReconstructionOptions recon;
   /// Worker threads (0 = std::thread::hardware_concurrency).
   std::size_t num_threads = 0;
-  /// Guiding-path depth g of reconstruct_split(): the search splits into
-  /// 2^g cubes over g evenly spaced cycle variables. 0 = auto. Kept
-  /// independent of num_threads so the cube set — and therefore the
-  /// merged result — does not change with the degree of parallelism.
+  /// Plan size of reconstruct_split(): the search splits into up to 2^g
+  /// cubes, balanced by how many k-change signals each can hold (fewer
+  /// only when every cube is down to a single completion). 0 = auto (6).
+  /// Kept independent of num_threads so the cube plan — and therefore
+  /// the merged result — does not change with the degree of parallelism.
   std::size_t cube_vars = 0;
   /// Incremental mode only: bound on the summed retained clause-storage
   /// bytes (SolverInterface::retained_bytes) of the idle per-worker
@@ -132,10 +136,11 @@ class BatchReconstructor {
 
   /// Decode one hard instance by cube-and-conquer: encode once, clone the
   /// solver per cube, enumerate each cube's subspace under assumptions in
-  /// parallel. A cooperative cancellation token stops in-flight cubes as
-  /// soon as the cubes *preceding* them (in cube order) already supply
-  /// max_solutions models — later cubes can then no longer contribute to
-  /// the truncated, deterministic output.
+  /// parallel, largest cube first. A cooperative cancellation token stops
+  /// in-flight cubes as soon as the cubes *preceding* them (in plan order)
+  /// already supply max_solutions models — later cubes can then no longer
+  /// contribute to the truncated, deterministic output. seconds_to_each
+  /// counts from the start of the call.
   ReconstructionResult reconstruct_split(const LogEntry& entry,
                                          const BatchOptions& options = {}) const;
 

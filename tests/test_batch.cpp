@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "timeprint/batch.hpp"
@@ -40,6 +42,24 @@ std::set<std::string> to_set(const std::vector<Signal>& signals) {
   const auto strings = ordered_strings(signals);
   return {strings.begin(), strings.end()};
 }
+
+// Per-cube model counts and run order of one split, read off its progress
+// callbacks: they are serialized, so each signals_found delta is the
+// finishing cube's share of the merged output.
+struct CubeLog {
+  std::vector<std::uint64_t> models;  // by cube index
+  std::vector<std::size_t> run_order;
+  std::uint64_t found = 0;
+
+  ProgressCallback callback() {
+    return [this](const BatchProgress& p) {
+      models.resize(p.total);
+      models[p.index] = p.signals_found - found;
+      found = p.signals_found;
+      run_order.push_back(p.index);
+    };
+  }
+};
 
 TEST(BatchReconstructor, ReconstructAllMatchesSequential) {
   const auto enc = test_encoding();
@@ -190,6 +210,100 @@ TEST(BatchReconstructor, ExplicitCubeVarsDepthIsHonoured) {
   const auto r = batch.reconstruct_split(entries[0], opts);
   EXPECT_TRUE(r.complete());
   EXPECT_EQ(units, 8u);
+}
+
+TEST(BatchReconstructor, SplitCubesAreBalanced) {
+  // k = 5 of m = 32 at b = 12: 40-60 signals per entry. Cubes that ignore
+  // |x| = k leave a third of them in one cube.
+  const auto enc = test_encoding(32, 12);
+  const auto entries = test_entries(enc, 3, 5);
+  BatchReconstructor batch(enc);
+  for (std::size_t e = 0; e < entries.size(); ++e) {
+    CubeLog log;
+    BatchOptions opts;
+    opts.num_threads = 1;
+    opts.on_progress = log.callback();
+    const auto r = batch.reconstruct_split(entries[e], opts);
+    ASSERT_TRUE(r.complete());
+    ASSERT_EQ(log.found, r.signals.size());
+    ASSERT_GE(r.signals.size(), 16u) << "entry " << e;
+    const std::uint64_t largest = *std::max_element(log.models.begin(), log.models.end());
+    EXPECT_LE(largest * 8, r.signals.size())
+        << "entry " << e << ": the largest cube holds " << largest << " of "
+        << r.signals.size() << " signals";
+  }
+}
+
+TEST(BatchReconstructor, SplitMatchesBruteForceOnSmallInstances) {
+  // Edge change counts (k = 0, 1, m - 1, m, where the plan has little or
+  // nothing to split) and a random middle k, with and without a property,
+  // at a one-variable and the default plan depth and several thread counts.
+  const std::size_t m = 12;
+  ExistsConsecutivePair p2;
+  for (std::uint64_t seed : {3u, 11u}) {
+    const auto enc = TimestampEncoding::random_constrained_auto(m, 4, seed);
+    Logger logger(enc);
+    f2::Rng rng(seed);
+    const std::size_t mid = 2 + rng.below(m - 3);
+    for (std::size_t k : {std::size_t{0}, std::size_t{1}, mid, m - 1, m}) {
+      const LogEntry entry = logger.log(Signal::random_with_changes(m, k, rng));
+      for (const bool with_p2 : {false, true}) {
+        std::vector<const Property*> props;
+        if (with_p2) props.push_back(&p2);
+        BatchReconstructor batch(enc);
+        if (with_p2) batch.add_property(p2);
+        const auto brute = to_set(Reconstructor::brute_force(enc, entry, props));
+        for (std::size_t cube_vars : {1u, 6u}) {
+          std::vector<std::string> first;
+          for (std::size_t threads : {1u, 3u, 8u}) {
+            BatchOptions opts;
+            opts.cube_vars = cube_vars;
+            opts.num_threads = threads;
+            SCOPED_TRACE(testing::Message()
+                         << "seed " << seed << " k " << k << " p2 " << with_p2
+                         << " cube_vars " << cube_vars << " threads " << threads);
+            const auto r = batch.reconstruct_split(entry, opts);
+            EXPECT_TRUE(r.complete());
+            EXPECT_EQ(to_set(r.signals), brute);
+            EXPECT_EQ(r.signals.size(), brute.size());  // no duplicates
+            if (threads == 1) first = ordered_strings(r.signals);
+            EXPECT_EQ(ordered_strings(r.signals), first);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(BatchReconstructor, SplitSecondsToEachCountFromTheSplitStart) {
+  // At one thread the cubes run back to back, so the merged signals, read
+  // cube by cube in run order, were found at non-decreasing times.
+  const auto enc = test_encoding(32, 12);
+  const auto entries = test_entries(enc, 1, 5);
+  BatchReconstructor batch(enc);
+  CubeLog log;
+  BatchOptions opts;
+  opts.num_threads = 1;
+  opts.on_progress = log.callback();
+  const auto r = batch.reconstruct_split(entries[0], opts);
+  ASSERT_TRUE(r.complete());
+  ASSERT_EQ(r.seconds_to_each.size(), r.signals.size());
+  ASSERT_EQ(log.found, r.signals.size());
+
+  // Cube c's signals sit at [offset[c], offset[c] + models[c]) of the merge.
+  std::vector<std::uint64_t> offset(log.models.size() + 1, 0);
+  for (std::size_t c = 0; c < log.models.size(); ++c) {
+    offset[c + 1] = offset[c] + log.models[c];
+  }
+  std::vector<double> by_run;
+  for (const std::size_t c : log.run_order) {
+    for (std::uint64_t i = offset[c]; i < offset[c + 1]; ++i) {
+      by_run.push_back(r.seconds_to_each[i]);
+    }
+  }
+  ASSERT_EQ(by_run.size(), r.signals.size());
+  EXPECT_TRUE(std::is_sorted(by_run.begin(), by_run.end()));
+  EXPECT_LE(by_run.back(), r.seconds_total);
 }
 
 TEST(BatchReconstructor, ProgressCallbackReportsEveryEntry) {
