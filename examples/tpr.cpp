@@ -35,6 +35,8 @@
 //                              (timeprint/incremental.hpp) instead of a
 //                              fresh solver; `tpr trace` reports the
 //                              incremental.* counters on stderr
+// A flag that the subcommand does not use (say `--max` or `--out` for
+// `check`, `--hypothesis` for `reconstruct`) is an error (exit 2).
 //
 // Numbers are unsigned decimal digits only (the --timeout value is a
 // non-negative decimal); a malformed value is an error (exit 2) that names
@@ -223,9 +225,26 @@ struct CommonOptions {
   std::int64_t inprocess_interval = -1; ///< -1 = SolverConfig default
 };
 
-bool parse_flags(int argc, char** argv, int first, CommonOptions& out) {
+// Whether subcommand `cmd` would ignore `flag`. Such a flag is an error
+// rather than a silent no-op; unknown flags are left to parse_flags.
+bool ignores_flag(const std::string& cmd, const std::string& flag) {
+  if (flag == "--hypothesis") return cmd != "check";
+  if (flag == "--out") return cmd != "trace";
+  if (flag == "--max" || flag == "--incremental" || flag == "--inprocess" ||
+      flag == "--inprocess-every") {
+    return cmd == "check";  // a check decodes one counterexample, fresh
+  }
+  return false;
+}
+
+bool parse_flags(const std::string& cmd, int argc, char** argv, int first,
+                 CommonOptions& out) {
   for (int i = first; i < argc; ++i) {
     const std::string flag = argv[i];
+    if (ignores_flag(cmd, flag)) {
+      std::fprintf(stderr, "tpr %s does not use %s\n", cmd.c_str(), flag.c_str());
+      return false;
+    }
     if (flag == "--incremental") {  // valueless
       out.incremental = true;
       continue;
@@ -317,7 +336,7 @@ int main(int argc, char** argv) {
                            to_num("<k>", argv[6])};
 
       CommonOptions opts;
-      if (!parse_flags(argc, argv, 7, opts)) return 2;
+      if (!parse_flags(cmd, argc, argv, 7, opts)) return 2;
 
       core::Reconstructor rec(enc);
       if (opts.known) rec.add_property(*opts.known);

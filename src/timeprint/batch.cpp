@@ -14,7 +14,6 @@
 #include "sat/allsat.hpp"
 #include "timeprint/incremental.hpp"
 #include "timeprint/sr_encoder.hpp"
-#include "timeprint/verify.hpp"
 #include "util/sync.hpp"
 #include "util/thread_pool.hpp"
 
@@ -302,187 +301,159 @@ ReconstructionResult BatchReconstructor::reconstruct_split(
     const LogEntry& entry, const BatchOptions& options) const {
   options.validate();
   const ReconstructionOptions& ropts = options.recon;
-  const auto start = Clock::now();
-  auto elapsed = [&start] {
-    return std::chrono::duration<double>(Clock::now() - start).count();
-  };
-
-  ReconstructionResult result;
-
   obs::Tracer* const tracer = ropts.tracer;
-  obs::Tracer::Span span;
-  if (tracer != nullptr) {
-    span = tracer->span("batch.reconstruct_split",
-                        {{"k", static_cast<std::uint64_t>(entry.k)}});
-  }
 
-  // Encode the SR instance once; every cube branches from this state.
-  // Always the single backend: cube-and-conquer is already the parallel
-  // axis here, and nesting portfolio races inside cubes oversubscribes.
-  const std::unique_ptr<sat::SolverInterface> base =
-      sat::SolverFactory::make(ropts.solver_options());
-  std::vector<sat::Var> cycle_vars;
-  const bool ok = rec_.encode_base(*base, cycle_vars, entry, ropts);
-  result.num_vars = base->num_vars();
-  result.num_clauses = base->num_clauses();
-  result.num_xors = base->num_xors();
-  result.stats = base->stats();  // encode-time level-0 propagation effort
-  if (!ok || !base->okay()) {
-    result.final_status = sat::Status::Unsat;
-    result.seconds_total = elapsed();
-    if (tracer != nullptr) tracer->event("sr.trivial_unsat");
-    span.add("signals", 0);
-    span.add("status", sat::to_string(result.final_status));
-    return result;
-  }
+  // The split's SAT stage. It keeps the raw rows whatever the presolve
+  // found, so the cube plan fixes cycle variables.
+  const auto sat_stage = [&](const F2Presolve::Analysis*, ReconstructionResult& result) {
+    const auto start = Clock::now();
+    auto elapsed = [&start] {
+      return std::chrono::duration<double>(Clock::now() - start).count();
+    };
+    Reconstructor::SatModels out;
 
-  const std::size_t m = cycle_vars.size();
-  const std::size_t g = options.cube_vars != 0 ? options.cube_vars : kAutoCubeVars;
-  const std::vector<CubePlanEntry> plan = plan_cubes(m, entry.k, std::size_t{1} << g);
-  const std::size_t ncubes = plan.size();
+    // Encode the SR instance once; every cube branches from this state.
+    // Always the single backend: cube-and-conquer is already the parallel
+    // axis here, and nesting portfolio races inside cubes oversubscribes.
+    const std::unique_ptr<sat::SolverInterface> base =
+        sat::SolverFactory::make(ropts.solver_options());
+    std::vector<sat::Var> cycle_vars;
+    const bool ok = rec_.encode_base(*base, cycle_vars, entry, ropts);
+    result.num_vars = base->num_vars();
+    result.num_clauses = base->num_clauses();
+    result.num_xors = base->num_xors();
+    result.stats = base->stats();  // encode-time level-0 propagation effort
+    if (!ok || !base->okay()) {
+      out.run.final_status = sat::Status::Unsat;
+      if (tracer != nullptr) tracer->event("sr.trivial_unsat");
+      return out;
+    }
 
-  struct Cube {
-    sat::AllSatResult models;
-    sat::SolverStats stats;
-    double start = 0.0;  // split-relative second its enumeration began
-    bool done = false;
-  };
-  std::vector<Cube> cubes(ncubes);
+    const std::size_t m = cycle_vars.size();
+    const std::size_t g = options.cube_vars != 0 ? options.cube_vars : kAutoCubeVars;
+    const std::vector<CubePlanEntry> plan = plan_cubes(m, entry.k, std::size_t{1} << g);
+    const std::size_t ncubes = plan.size();
 
-  const std::uint64_t cap = ropts.max_solutions;
-  std::atomic<bool> cancel{false};   // stops in-flight solves cooperatively
-  bool cap_reached = false;          // guarded by `mu`
-  util::Mutex mu{util::LockRank::kEngine};
-  std::size_t completed = 0;
-  std::uint64_t found = 0;
+    struct Cube {
+      sat::AllSatResult models;
+      sat::SolverStats stats;
+      double start = 0.0;  // split-relative second its enumeration began
+      bool done = false;
+    };
+    std::vector<Cube> cubes(ncubes);
 
-  {
-    // Tasks take cubes in plan order whatever order the pool runs them in,
-    // so the largest cubes start first and the leading cubes that the
-    // prefix rule below waits on finish early.
-    std::atomic<std::size_t> next_cube{0};
-    util::ThreadPool pool(resolve_threads(options.num_threads));
-    for (std::size_t task = 0; task < ncubes; ++task) {
-      pool.submit([&] {
-        const std::size_t ci = next_cube.fetch_add(1);
-        // Fold an external cancellation into the shared token (polled at
-        // cube granularity; the token below is polled per conflict).
-        if (ropts.limits.interrupt != nullptr &&
-            ropts.limits.interrupt->load(std::memory_order_relaxed)) {
-          cancel.store(true, std::memory_order_relaxed);
-        }
+    const std::uint64_t cap = ropts.max_solutions;
+    std::atomic<bool> cancel{false};   // stops in-flight solves cooperatively
+    bool cap_reached = false;          // guarded by `mu`
+    util::Mutex mu{util::LockRank::kEngine};
+    std::size_t completed = 0;
+    std::uint64_t found = 0;
 
-        sat::AllSatOptions as;
-        as.max_models = cap;
-        as.limits = ropts.limits;
-        as.limits.interrupt = &cancel;
-        as.tracer = tracer;
-        if (ropts.limits.max_seconds > 0) {
-          // One global deadline: each cube gets what is left of it.
-          as.limits.max_seconds = ropts.limits.max_seconds - elapsed();
-        }
-        const CubePlanEntry& spec = plan[ci];
-        as.assumptions.reserve(spec.prefix);
-        auto one = spec.ones.begin();
-        for (std::size_t j = 0; j < spec.prefix; ++j) {
-          const bool change = one != spec.ones.end() && *one == j;
-          if (change) ++one;
-          as.assumptions.push_back(sat::Lit(cycle_vars[j], /*negated=*/!change));
-        }
+    {
+      // Tasks take cubes in plan order whatever order the pool runs them
+      // in, so the largest cubes start first and the leading cubes that the
+      // prefix rule below waits on finish early.
+      std::atomic<std::size_t> next_cube{0};
+      util::ThreadPool pool(resolve_threads(options.num_threads));
+      for (std::size_t task = 0; task < ncubes; ++task) {
+        pool.submit([&] {
+          const std::size_t ci = next_cube.fetch_add(1);
+          // Fold an external cancellation into the shared token (polled at
+          // cube granularity; the token below is polled per conflict).
+          if (ropts.limits.interrupt != nullptr &&
+              ropts.limits.interrupt->load(std::memory_order_relaxed)) {
+            cancel.store(true, std::memory_order_relaxed);
+          }
 
-        Cube cube;
-        const bool deadline_passed =
-            ropts.limits.max_seconds > 0 && as.limits.max_seconds <= 0;
-        if (deadline_passed || cancel.load(std::memory_order_relaxed)) {
-          cube.models.final_status = sat::Status::Unknown;
-        } else {
-          const std::unique_ptr<sat::SolverInterface> worker = base->clone();
-          cube.start = elapsed();
-          cube.models = sat::enumerate_models(*worker, cycle_vars, as);
-          cube.stats = worker->stats();
-        }
-        cube.done = true;
-        if (tracer != nullptr) {
-          tracer->event(
-              "batch.cube",
-              {{"cube", static_cast<std::uint64_t>(ci)},
-               {"models", static_cast<std::uint64_t>(cube.models.models.size())},
-               {"status", sat::to_string(cube.models.final_status)},
-               {"seconds", cube.models.seconds_total}});
-        }
+          sat::AllSatOptions as;
+          as.max_models = cap;
+          as.limits = ropts.limits;
+          as.limits.interrupt = &cancel;
+          as.tracer = tracer;
+          if (ropts.limits.max_seconds > 0) {
+            // One global deadline: each cube gets what is left of it.
+            as.limits.max_seconds = ropts.limits.max_seconds - elapsed();
+          }
+          const CubePlanEntry& spec = plan[ci];
+          as.assumptions.reserve(spec.prefix);
+          auto one = spec.ones.begin();
+          for (std::size_t j = 0; j < spec.prefix; ++j) {
+            const bool change = one != spec.ones.end() && *one == j;
+            if (change) ++one;
+            as.assumptions.push_back(sat::Lit(cycle_vars[j], /*negated=*/!change));
+          }
 
-        util::MutexLock lock(mu);
-        found += cube.models.models.size();
-        cubes[ci] = std::move(cube);
-        ++completed;
-        // Prefix rule: once cubes 0..p are all finished and already supply
-        // `cap` models, later cubes cannot contribute to the (cube-ordered,
-        // truncated) output — stop them. Never triggered by partial results:
-        // before the first cancellation every finished cube ran to its own
-        // natural end, so the rule's decision is schedule-independent.
-        if (!cap_reached && !cancel.load(std::memory_order_relaxed)) {
-          std::uint64_t prefix = 0;
-          for (const Cube& q : cubes) {
-            if (!q.done) break;
-            prefix += q.models.models.size();
-            if (prefix >= cap) {
-              cap_reached = true;
-              cancel.store(true, std::memory_order_relaxed);
-              break;
+          Cube cube;
+          const bool deadline_passed =
+              ropts.limits.max_seconds > 0 && as.limits.max_seconds <= 0;
+          if (deadline_passed || cancel.load(std::memory_order_relaxed)) {
+            cube.models.final_status = sat::Status::Unknown;
+          } else {
+            const std::unique_ptr<sat::SolverInterface> worker = base->clone();
+            cube.start = elapsed();
+            cube.models = sat::enumerate_models(*worker, cycle_vars, as);
+            cube.stats = worker->stats();
+          }
+          cube.done = true;
+          if (tracer != nullptr) {
+            tracer->event(
+                "batch.cube",
+                {{"cube", static_cast<std::uint64_t>(ci)},
+                 {"models", static_cast<std::uint64_t>(cube.models.models.size())},
+                 {"status", sat::to_string(cube.models.final_status)},
+                 {"seconds", cube.models.seconds_total}});
+          }
+
+          util::MutexLock lock(mu);
+          found += cube.models.models.size();
+          cubes[ci] = std::move(cube);
+          ++completed;
+          // Prefix rule: once cubes 0..p are all finished and already
+          // supply `cap` models, later cubes cannot contribute to the
+          // (cube-ordered, truncated) output — stop them. Never triggered by
+          // partial results: before the first cancellation every finished
+          // cube ran to its own natural end, so the rule's decision is
+          // schedule-independent.
+          if (!cap_reached && !cancel.load(std::memory_order_relaxed)) {
+            std::uint64_t prefix = 0;
+            for (const Cube& q : cubes) {
+              if (!q.done) break;
+              prefix += q.models.models.size();
+              if (prefix >= cap) {
+                cap_reached = true;
+                cancel.store(true, std::memory_order_relaxed);
+                break;
+              }
             }
           }
-        }
-        if (options.on_progress) {
-          options.on_progress({ncubes, completed, ci, found});
-        }
-      });
-    }
-    pool.wait_idle();
-  }
-
-  // Deterministic merge: plan order first, discovery order within a cube.
-  bool any_unknown = false;
-  for (const Cube& c : cubes) {
-    result.stats += c.stats;
-    if (c.models.final_status == sat::Status::Unknown) any_unknown = true;
-  }
-  for (const Cube& c : cubes) {
-    if (result.signals.size() >= cap) break;
-    for (std::size_t i = 0; i < c.models.models.size(); ++i) {
-      if (result.signals.size() >= cap) break;
-      const std::vector<bool>& model = c.models.models[i];
-      Signal s(m);
-      for (std::size_t j = 0; j < model.size(); ++j) {
-        if (model[j]) s.set_change(j);
+          if (options.on_progress) {
+            options.on_progress({ncubes, completed, ci, found});
+          }
+        });
       }
-      result.signals.push_back(std::move(s));
-      result.seconds_to_each.push_back(c.start + c.models.seconds_to_model[i]);
+      pool.wait_idle();
     }
-  }
-  if (ropts.verify_models) {
-    // The split path materializes signals in its own merge loop, so it
-    // carries its own verification hook (the other engines verify inside
-    // Reconstructor/TemplateReconstructor). Also catches a cube overlap —
-    // two cubes can only yield the same signal if the cube plan's
-    // assumptions were mis-built — via the duplicate check.
-    require_verified(rec_.encoding(), entry, result.signals, rec_.properties());
-  }
 
-  if (cap_reached) {
-    result.final_status = sat::Status::Sat;  // cap hit, enumeration cut short
-  } else if (any_unknown) {
-    result.final_status = sat::Status::Unknown;  // a limit or interrupt fired
-  } else {
-    result.final_status = sat::Status::Unsat;  // every cube fully enumerated
-  }
-  result.seconds_total = elapsed();
-  if (span.active()) {
-    span.add("cubes", static_cast<std::uint64_t>(ncubes));
-    span.add("signals", static_cast<std::uint64_t>(result.signals.size()));
-    span.add("status", sat::to_string(result.final_status));
-    span.finish();
-  }
-  return result;
+    // Deterministic merge: plan order first, discovery order within a cube.
+    bool any_unknown = false;
+    for (Cube& c : cubes) {
+      result.stats += c.stats;
+      if (c.models.final_status == sat::Status::Unknown) any_unknown = true;
+      for (std::size_t i = 0; i < c.models.models.size() && out.run.models.size() < cap; ++i) {
+        out.run.models.push_back(std::move(c.models.models[i]));
+        out.run.seconds_to_model.push_back(c.start + c.models.seconds_to_model[i]);
+      }
+    }
+    if (cap_reached) {
+      out.run.final_status = sat::Status::Sat;  // cap hit, enumeration cut short
+    } else if (any_unknown) {
+      out.run.final_status = sat::Status::Unknown;  // a limit or interrupt fired
+    } else {
+      out.run.final_status = sat::Status::Unsat;  // every cube fully enumerated
+    }
+    return out;
+  };
+  return rec_.decode_entry(entry, ropts, sat_stage, nullptr, "split");
 }
 
 }  // namespace tp::core

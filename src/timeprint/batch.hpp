@@ -16,7 +16,11 @@
 //     most k-change signals, C(m − prefix, changes left), on its next
 //     cycle, so no cube dominates the preimage. Disjoint cubes partition
 //     the model space, so the per-cube enumerations merge without
-//     deduplication.
+//     deduplication. The fan-out is the SAT stage of
+//     Reconstructor::decode_entry, like every other decode: the F2
+//     presolve answers an inconsistent or small-nullity entry before any
+//     cube exists, and the pipeline turns the merged models into signals,
+//     runs verify_models and counts the entry in the sr.* metrics.
 //
 // Determinism: results merge by entry index (then per-entry discovery
 // order) or by cube index (then per-cube discovery order), never by
@@ -134,13 +138,15 @@ class BatchReconstructor {
   BatchResult reconstruct_all(const std::vector<LogEntry>& entries,
                               const BatchOptions& options = {}) const;
 
-  /// Decode one hard instance by cube-and-conquer: encode once, clone the
-  /// solver per cube, enumerate each cube's subspace under assumptions in
-  /// parallel, largest cube first. A cooperative cancellation token stops
+  /// Decode one hard instance through Reconstructor's pipeline, with
+  /// cube-and-conquer as its SAT stage: encode once, clone the solver per
+  /// cube, enumerate each cube's subspace under assumptions in parallel,
+  /// largest cube first. A cooperative cancellation token stops
   /// in-flight cubes as soon as the cubes *preceding* them (in plan order)
   /// already supply max_solutions models — later cubes can then no longer
   /// contribute to the truncated, deterministic output. seconds_to_each
-  /// counts from the start of the call.
+  /// counts from the start of the split (of its SAT stage, when cubes
+  /// run), not of each cube.
   ReconstructionResult reconstruct_split(const LogEntry& entry,
                                          const BatchOptions& options = {}) const;
 

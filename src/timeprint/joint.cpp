@@ -1,9 +1,12 @@
 #include "timeprint/joint.hpp"
 
 #include <memory>
+#include <set>
 #include <stdexcept>
+#include <string>
 
 #include "timeprint/sr_encoder.hpp"
+#include "timeprint/verify.hpp"
 
 namespace tp::core {
 
@@ -11,6 +14,38 @@ using sat::Lit;
 using sat::mk_lit;
 using sat::SolverInterface;
 using sat::Var;
+
+namespace {
+
+// verify_models for a span: each window's slice is a preimage member of its
+// entry, each span signal satisfies the span properties, and no span signal
+// repeats. Two span signals may share a window's slice, so the slices are
+// verified one at a time.
+void require_verified_span(const TimestampEncoding& enc,
+                           const std::vector<LogEntry>& entries,
+                           const std::vector<Signal>& signals,
+                           const std::vector<const Property*>& properties) {
+  const std::size_t m = enc.m();
+  std::set<std::string> seen;
+  for (const Signal& s : signals) {
+    for (std::size_t w = 0; w < entries.size(); ++w) {
+      Signal slice(m);
+      for (std::size_t i = 0; i < m; ++i) slice.set_change(i, s.has_change(w * m + i));
+      require_verified(enc, entries[w], {slice});
+    }
+    for (const Property* p : properties) {
+      if (!p->holds(s)) {
+        throw std::logic_error("model verification failed: a span signal violates '" +
+                               p->describe() + "'");
+      }
+    }
+    if (!seen.insert(s.to_string()).second) {
+      throw std::logic_error("model verification failed: a span signal enumerated twice");
+    }
+  }
+}
+
+}  // namespace
 
 ReconstructionResult JointReconstructor::reconstruct(
     const std::vector<LogEntry>& entries, const ReconstructionOptions& options) const {
@@ -64,6 +99,9 @@ ReconstructionResult JointReconstructor::reconstruct(
       if (model[i]) s.set_change(i);
     }
     result.signals.push_back(std::move(s));
+  }
+  if (options.verify_models) {
+    require_verified_span(*enc_, entries, result.signals, properties_);
   }
   return result;
 }

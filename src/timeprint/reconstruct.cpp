@@ -51,7 +51,6 @@ sat::SolverOptions ReconstructionOptions::solver_options() const {
 std::unique_ptr<sat::SolverInterface> ReconstructionOptions::make_solver() const {
   sat::PortfolioOptions popts;
   popts.members = portfolio_members;
-  popts.diversity = portfolio_diversity;
   return sat::SolverFactory::make(solver_backend, solver_options(), popts);
 }
 
@@ -251,8 +250,6 @@ CheckResult Reconstructor::check_hypothesis(const LogEntry& entry,
                                 "' does not provide a negation");
   }
 
-  using Clock = std::chrono::steady_clock;
-  const auto start = Clock::now();
   obs::Tracer::Span span;
   if (options.tracer != nullptr) {
     span = options.tracer->span(
@@ -262,54 +259,36 @@ CheckResult Reconstructor::check_hypothesis(const LogEntry& entry,
          {"hypothesis", hypothesis.describe()}});
   }
 
-  const std::unique_ptr<SolverInterface> solver_ptr = options.make_solver();
-  SolverInterface& solver = *solver_ptr;
-  std::vector<Var> cycle_vars;
-  bool encode_ok = encode_base(solver, cycle_vars, entry, options);
-  encode_ok = negated->encode(solver, cycle_vars) && encode_ok;
+  // A counterexample is a reconstruction that satisfies the negation: decode
+  // one through the same pipeline, with the negation as one more property.
+  // No such reconstruction at all proves the hypothesis.
+  Reconstructor counter = *this;
+  counter.add_property(*negated);
+  ReconstructionOptions one = options;
+  one.max_solutions = 1;
+  ReconstructionResult decoded = counter.decode_fresh(entry, one, nullptr);
 
   CheckResult result;
-  result.num_vars = solver.num_vars();
-  result.num_clauses = solver.num_clauses();
-  result.num_xors = solver.num_xors();
-
-  // No assignment satisfying the encoding plus the negated hypothesis
-  // means every reconstruction satisfies the hypothesis, vacuously; skip
-  // the solve then (it would only rediscover the root-level conflict).
-  const bool trivial = !encode_ok || !solver.okay();
-  if (trivial && options.tracer != nullptr) options.tracer->event("sr.trivial_unsat");
-  const Status st = trivial ? Status::Unsat : solver.solve(options.limits);
-
-  result.seconds = std::chrono::duration<double>(Clock::now() - start).count();
-  result.stats = solver.stats();
-  switch (st) {
-    case Status::Unsat:
-      result.verdict = CheckVerdict::HoldsForAll;
-      break;
-    case Status::Sat: {
-      result.verdict = CheckVerdict::ViolatedBySome;
-      Signal witness(enc_->m());
-      for (std::size_t i = 0; i < cycle_vars.size(); ++i) {
-        if (solver.model_value(cycle_vars[i]) == sat::LBool::True) {
-          witness.set_change(i);
-        }
-      }
-      if (options.verify_models) {
-        // The witness must be a genuine preimage member that violates the
-        // hypothesis; re-check both halves independently of the encoding.
-        require_verified(*enc_, entry, {witness}, properties_);
-        if (hypothesis.holds(witness)) {
-          throw std::logic_error(
-              "model verification failed: check_hypothesis witness satisfies "
-              "the hypothesis it should violate");
-        }
-      }
-      result.witness = std::move(witness);
-      break;
+  result.seconds = decoded.seconds_total;
+  result.stats = decoded.stats;
+  result.num_vars = decoded.num_vars;
+  result.num_clauses = decoded.num_clauses;
+  result.num_xors = decoded.num_xors;
+  // The verdict comes from the signals, not the status: the presolve's
+  // enumeration reports a lone witness found on its last candidate as
+  // complete.
+  if (!decoded.signals.empty()) {
+    result.verdict = CheckVerdict::ViolatedBySome;
+    // decode_entry has verified the witness against the negation; this
+    // re-check does not depend on the negation being right.
+    if (options.verify_models && hypothesis.holds(decoded.signals.front())) {
+      throw std::logic_error(
+          "model verification failed: check_hypothesis witness satisfies "
+          "the hypothesis it should violate");
     }
-    case Status::Unknown:
-      result.verdict = CheckVerdict::Unknown;
-      break;
+    result.witness = std::move(decoded.signals.front());
+  } else if (decoded.complete()) {
+    result.verdict = CheckVerdict::HoldsForAll;
   }
   span.add("verdict", to_string(result.verdict));
   return result;

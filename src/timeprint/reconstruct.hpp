@@ -52,16 +52,16 @@ struct ReconstructionOptions : sat::SolverConfig {
   /// false: Tseitin-chained CNF (ablation).
   bool native_xor = true;
   /// Which solver backend every engine of this run builds through
-  /// make_solver(): one sat::Solver, or a sat::PortfolioSolver racing
-  /// `portfolio_members` diversified configurations per solve with
-  /// first-wins cancellation and learnt-clause sharing. reconstruct_split
-  /// always stays single-backend — cube-and-conquer is already the
-  /// parallel axis there, and nesting races inside cubes oversubscribes.
+  /// make_solver() (fresh decodes, hypothesis checks, templates and joint
+  /// spans): one sat::Solver, or a sat::PortfolioSolver racing
+  /// `portfolio_members` configurations per solve (PortfolioOptions'
+  /// default diversity) with first-wins cancellation and learnt-clause
+  /// sharing. The SAT stage of reconstruct_split always stays
+  /// single-backend — cube-and-conquer is already the parallel axis there,
+  /// and nesting races inside cubes oversubscribes.
   sat::SolverBackend solver_backend = sat::SolverBackend::Single;
   /// Portfolio width (ignored for the single backend).
   std::size_t portfolio_members = 4;
-  /// Portfolio diversification preset (ignored for the single backend).
-  sat::PortfolioDiversity portfolio_diversity = sat::PortfolioDiversity::Mixed;
   /// Stop after this many reconstructed signals (paper's .1/.10 columns).
   std::uint64_t max_solutions = UINT64_MAX;
   /// Decode streams through the incremental template engine
@@ -86,9 +86,11 @@ struct ReconstructionOptions : sat::SolverConfig {
   /// projects onto the free columns and pivot values are substituted back
   /// into each model. Silently ignored when a DRAT proof sink is
   /// attached: the certified path must derive every verdict inside the
-  /// solver, so it keeps the classic encoding. check_hypothesis and
-  /// reconstruct_split also stay classic (single solve / cube-split over
-  /// full cycle variables).
+  /// solver, so it keeps the classic encoding. Every query kind of
+  /// decode_entry gets it: reconstruct, check_hypothesis (whose negated
+  /// hypothesis is one more property) and reconstruct_split, whose SAT
+  /// stage keeps the raw rows so that its cubes fix cycle variables.
+  /// JointReconstructor does not use it.
   bool presolve = true;
   /// Largest nullity the presolve decodes by direct enumeration
   /// (2^nullity candidates are walked; keep this small).
@@ -114,8 +116,12 @@ struct ReconstructionOptions : sat::SolverConfig {
   /// Re-validate every enumerated signal (and every hypothesis-check
   /// witness) against A·x = TP, |x| = k and the registered properties
   /// using only f2::Matrix arithmetic (timeprint/verify.hpp), independent
-  /// of the SAT encoding. A violation throws std::logic_error — it means
-  /// the encoding or solver is wrong, never the input.
+  /// of the SAT encoding. decode_entry runs it for every engine; a check
+  /// also re-checks that its witness violates the hypothesis, and
+  /// JointReconstructor checks each window's slice against its entry and
+  /// each span signal against the span properties. A violation throws
+  /// std::logic_error — it means the encoding or solver is wrong, never
+  /// the input.
   bool verify_models = false;
 
   /// Reject inconsistent knob combinations (throws std::invalid_argument):
@@ -131,8 +137,8 @@ struct ReconstructionOptions : sat::SolverConfig {
   /// query (fresh, split and template paths).
   sat::SolverOptions solver_options() const;
 
-  /// Build the selected backend (solver_backend / portfolio_members /
-  /// portfolio_diversity) over solver_options() via sat::SolverFactory.
+  /// Build the selected backend (solver_backend / portfolio_members) over
+  /// solver_options() via sat::SolverFactory.
   std::unique_ptr<sat::SolverInterface> make_solver() const;
 };
 
@@ -206,11 +212,12 @@ class Reconstructor {
                                    const ReconstructionOptions& options = {}) const;
 
   /// Decide whether *every* signal explaining `entry` (under the registered
-  /// properties) satisfies `hypothesis`: encodes the hypothesis' negation
-  /// and asks for a counterexample; UNSAT proves the hypothesis (the
-  /// paper's §5.2.1 deadline proof). Throws std::invalid_argument if the
-  /// hypothesis cannot provide a negation or the timeprint has the wrong
-  /// width.
+  /// properties) satisfies `hypothesis`: decodes at most one
+  /// counterexample through the same pipeline as reconstruct(), with the
+  /// hypothesis' negation as one more property. A complete empty result
+  /// proves the hypothesis (the paper's §5.2.1 deadline proof). Throws
+  /// std::invalid_argument if the hypothesis cannot provide a negation or
+  /// the timeprint has the wrong width.
   CheckResult check_hypothesis(const LogEntry& entry, const Property& hypothesis,
                                const ReconstructionOptions& options = {}) const;
 
@@ -239,7 +246,8 @@ class Reconstructor {
  private:
   // The engines built on a Reconstructor: a template embeds one and runs
   // its own SAT stage through decode_entry; the batch prepass hands
-  // decode_fresh the analyses of its bit-sliced sweep.
+  // decode_fresh the analyses of its bit-sliced sweep, and the split runs
+  // its cube fan-out as a SAT stage.
   friend class TemplateReconstructor;
   friend class BatchReconstructor;
 

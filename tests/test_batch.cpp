@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "f2/matrix.hpp"
 #include "timeprint/batch.hpp"
 #include "timeprint/logger.hpp"
 #include "timeprint/properties.hpp"
@@ -59,6 +60,17 @@ struct CubeLog {
       run_order.push_back(p.index);
     };
   }
+};
+
+// Adds nothing to the encoding but rejects every signal: only a verifier
+// that evaluates holds() on the decoded signals can notice.
+class LyingProperty final : public Property {
+ public:
+  bool holds(const Signal&) const override { return false; }
+  bool encode(sat::SolverInterface&, const std::vector<sat::Var>&) const override {
+    return true;
+  }
+  std::string describe() const override { return "lying"; }
 };
 
 TEST(BatchReconstructor, ReconstructAllMatchesSequential) {
@@ -238,6 +250,9 @@ TEST(BatchReconstructor, SplitMatchesBruteForceOnSmallInstances) {
   // Edge change counts (k = 0, 1, m - 1, m, where the plan has little or
   // nothing to split) and a random middle k, with and without a property,
   // at a one-variable and the default plan depth and several thread counts.
+  // At b = 8 the nullity is within presolve_enum_limit, so each case runs
+  // twice: without the presolve, where the cubes decode it, and with it,
+  // where the affine enumeration does.
   const std::size_t m = 12;
   ExistsConsecutivePair p2;
   for (std::uint64_t seed : {3u, 11u}) {
@@ -253,26 +268,71 @@ TEST(BatchReconstructor, SplitMatchesBruteForceOnSmallInstances) {
         BatchReconstructor batch(enc);
         if (with_p2) batch.add_property(p2);
         const auto brute = to_set(Reconstructor::brute_force(enc, entry, props));
-        for (std::size_t cube_vars : {1u, 6u}) {
-          std::vector<std::string> first;
-          for (std::size_t threads : {1u, 3u, 8u}) {
-            BatchOptions opts;
-            opts.cube_vars = cube_vars;
-            opts.num_threads = threads;
-            SCOPED_TRACE(testing::Message()
-                         << "seed " << seed << " k " << k << " p2 " << with_p2
-                         << " cube_vars " << cube_vars << " threads " << threads);
-            const auto r = batch.reconstruct_split(entry, opts);
-            EXPECT_TRUE(r.complete());
-            EXPECT_EQ(to_set(r.signals), brute);
-            EXPECT_EQ(r.signals.size(), brute.size());  // no duplicates
-            if (threads == 1) first = ordered_strings(r.signals);
-            EXPECT_EQ(ordered_strings(r.signals), first);
+        for (const bool presolve : {false, true}) {
+          for (std::size_t cube_vars : {1u, 6u}) {
+            std::vector<std::string> first;
+            for (std::size_t threads : {1u, 3u, 8u}) {
+              std::size_t cubes_run = 0;
+              BatchOptions opts;
+              opts.recon.presolve = presolve;
+              opts.cube_vars = cube_vars;
+              opts.num_threads = threads;
+              opts.on_progress = [&cubes_run](const BatchProgress&) { ++cubes_run; };
+              SCOPED_TRACE(testing::Message()
+                           << "seed " << seed << " k " << k << " p2 " << with_p2
+                           << " presolve " << presolve << " cube_vars " << cube_vars
+                           << " threads " << threads);
+              const auto r = batch.reconstruct_split(entry, opts);
+              EXPECT_TRUE(r.complete());
+              EXPECT_EQ(to_set(r.signals), brute);
+              EXPECT_EQ(r.signals.size(), brute.size());  // no duplicates
+              if (threads == 1) first = ordered_strings(r.signals);
+              EXPECT_EQ(ordered_strings(r.signals), first);
+              if (presolve) {
+                EXPECT_EQ(r.num_vars, 0);  // the affine enumeration decoded it
+              } else if (k != 0 || !with_p2) {
+                // The cube plan decoded it. (k = 0 refutes P2 while it is
+                // encoded, before any cube exists.)
+                EXPECT_GE(cubes_run, 1u);
+              }
+            }
           }
         }
       }
     }
   }
+}
+
+TEST(BatchReconstructor, SplitOfAnInconsistentEntryNeedsNoSolver) {
+  // With m = 20 < b = 24 the timestamps span a proper subspace, and TP bits
+  // {0, 5, 17} lie outside it: the presolve proves the preimage empty
+  // before any solver or cube exists.
+  const auto enc = TimestampEncoding::random_constrained(20, 24, 4, 5);
+  f2::BitVec tp(24);
+  for (const std::size_t bit : {0u, 5u, 17u}) tp.set(bit, true);
+  ASSERT_FALSE(enc.to_matrix().solve(tp).has_value());
+  BatchReconstructor batch(enc);
+  std::size_t cubes_run = 0;
+  BatchOptions opts;
+  opts.on_progress = [&cubes_run](const BatchProgress&) { ++cubes_run; };
+  const auto r = batch.reconstruct_split({tp, 3}, opts);
+  EXPECT_TRUE(r.complete());
+  EXPECT_TRUE(r.signals.empty());
+  EXPECT_EQ(r.num_vars, 0);
+  EXPECT_EQ(cubes_run, 0u);
+}
+
+TEST(BatchReconstructor, SplitVerifyModelsRejectsSignalsTheEncodingLetThrough) {
+  const auto enc = test_encoding();
+  const auto entries = test_entries(enc, 1, 3);
+  LyingProperty lie;
+  BatchReconstructor batch(enc);
+  batch.add_property(lie);
+  BatchOptions opts;
+  opts.num_threads = 2;
+  ASSERT_FALSE(batch.reconstruct_split(entries[0], opts).signals.empty());
+  opts.recon.verify_models = true;
+  EXPECT_THROW(batch.reconstruct_split(entries[0], opts), std::logic_error);
 }
 
 TEST(BatchReconstructor, SplitSecondsToEachCountFromTheSplitStart) {

@@ -132,5 +132,50 @@ TEST(Joint, ThreeWindows) {
   }
 }
 
+// Adds nothing to the encoding but rejects every signal: only a verifier
+// that evaluates holds() on the decoded span signals can notice.
+class LyingProperty final : public Property {
+ public:
+  bool holds(const Signal&) const override { return false; }
+  bool encode(sat::SolverInterface&, const std::vector<sat::Var>&) const override {
+    return true;
+  }
+  std::string describe() const override { return "lying"; }
+};
+
+TEST(Joint, VerifyModelsRejectsSignalsTheEncodingLetThrough) {
+  auto enc = TimestampEncoding::random_constrained(12, 8, 4, 5);
+  Logger logger(enc);
+  const LogEntry e0 = logger.log(Signal::from_change_cycles(12, {1, 7}));
+  const LogEntry e1 = logger.log(Signal::from_change_cycles(12, {4}));
+  LyingProperty lie;
+  JointReconstructor joint(enc);
+  joint.add_property(lie);
+  ReconstructionOptions opt;
+  ASSERT_FALSE(joint.reconstruct({e0, e1}, opt).signals.empty());
+  opt.verify_models = true;
+  EXPECT_THROW(joint.reconstruct({e0, e1}, opt), std::logic_error);
+}
+
+TEST(Joint, VerifyModelsAcceptsSpansThatShareAWindowSlice) {
+  // Two three-change windows: the span preimage is the product of the
+  // windows' preimages, so span signals share window slices without being
+  // duplicates.
+  auto enc = TimestampEncoding::random_constrained(12, 8, 4, 5);
+  Logger logger(enc);
+  f2::Rng rng(9);
+  const LogEntry e0 = logger.log(Signal::random_with_changes(12, 3, rng));
+  const LogEntry e1 = logger.log(Signal::random_with_changes(12, 3, rng));
+  JointReconstructor joint(enc);
+  ReconstructionOptions opt;
+  opt.verify_models = true;
+  const auto r = joint.reconstruct({e0, e1}, opt);
+  EXPECT_TRUE(r.complete());
+  Reconstructor plain(enc);
+  const std::size_t n0 = plain.reconstruct(e0).signals.size();
+  ASSERT_GE(n0, 2u);
+  EXPECT_EQ(r.signals.size(), n0 * plain.reconstruct(e1).signals.size());
+}
+
 }  // namespace
 }  // namespace tp::core

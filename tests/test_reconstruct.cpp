@@ -401,6 +401,34 @@ TEST(Reconstruct, CheckResultReportsProblemSize) {
   EXPECT_GT(check.num_clauses, 0u);
 }
 
+TEST(Reconstruct, CheckHypothesisOnNullityZeroNeedsNoSolver) {
+  // One-hot timestamps make A the identity, so the presolve decodes the
+  // check's query outright: each verdict comes back with zero solver
+  // variables, and the witness is the one reconstruction there is.
+  const auto enc = TimestampEncoding::one_hot(16);
+  const Signal actual = Signal::from_change_cycles(16, {2, 9});
+  const LogEntry entry = Logger(enc).log(actual);
+  Reconstructor rec(enc);
+  ReconstructionOptions opt;
+  opt.verify_models = true;
+
+  MinChangesBefore met(/*deadline=*/10, /*min_changes=*/1);
+  const auto holds = rec.check_hypothesis(entry, met, opt);
+  EXPECT_EQ(holds.verdict, CheckVerdict::HoldsForAll);
+  EXPECT_FALSE(holds.witness.has_value());
+  EXPECT_EQ(holds.num_vars, 0);
+
+  MinChangesBefore early(/*deadline=*/2, /*min_changes=*/1);
+  const auto violated = rec.check_hypothesis(entry, early, opt);
+  EXPECT_EQ(violated.verdict, CheckVerdict::ViolatedBySome);
+  ASSERT_TRUE(violated.witness.has_value());
+  EXPECT_EQ(*violated.witness, actual);
+  EXPECT_FALSE(early.holds(*violated.witness));
+  const auto verdict = verify_signals(enc, entry, {*violated.witness});
+  EXPECT_TRUE(verdict.ok) << verdict.failure;
+  EXPECT_EQ(violated.num_vars, 0);
+}
+
 // ---- proof round-trips and solver-independent model verification ----
 
 // Replay a reconstruction's recorded proof with the independent checker
